@@ -2,7 +2,10 @@ package dfs
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
+	"sync"
 
 	"planardfs/internal/dist"
 	"planardfs/internal/graph"
@@ -20,10 +23,12 @@ type JoinStats struct {
 	Remaining []int
 }
 
-// joinScratch holds the flat per-vertex state of one JOIN-PROBLEM. All
-// arrays are sized n and allocated once per invocation; the epoch-stamped
-// ones (seen/vis/set) are reset in O(1) between sub-phases and components
-// by bumping the epoch instead of clearing.
+// joinScratch holds the flat per-vertex state of JOIN-PROBLEMs. Scratches
+// live in a pool and are grown to the largest graph served, so one join
+// costs O(|comp| + Σ deg) however large the graph. Between calls, inComp
+// and missing are all false (every exit clears them over comp), and the
+// epoch-stamped arrays (seen/vis/set) are reset in O(1) between sub-phases,
+// components and calls by bumping the epoch instead of clearing.
 type joinScratch struct {
 	inComp  []bool
 	missing []bool
@@ -52,13 +57,38 @@ func newJoinScratch(n int) *joinScratch {
 	}
 }
 
+var joinPool = sync.Pool{New: func() any { return newJoinScratch(0) }}
+
+// acquireJoinScratch returns a pooled scratch of at least n vertices.
+func acquireJoinScratch(n int) *joinScratch {
+	sc := joinPool.Get().(*joinScratch)
+	if len(sc.inComp) < n {
+		sc = newJoinScratch(n)
+	}
+	return sc
+}
+
+// nextEpoch opens a fresh epoch. When it would overflow, the stamp arrays
+// are cleared and the epoch restarts at 1, so a stale stamp never matches.
+func (sc *joinScratch) nextEpoch() int32 {
+	if sc.epoch == math.MaxInt32 {
+		clear(sc.seenEp)
+		clear(sc.visEp)
+		clear(sc.setEp)
+		sc.epoch = 0
+	}
+	sc.epoch++
+	return sc.epoch
+}
+
 // JoinSeparator adds every vertex of the separator set (a subset of the
 // component comp of G - T_d) to the partial tree following the DFS-RULE
 // (Lemma 2). In each sub-phase, every remaining component that still holds
 // separator vertices is entered at its vertex with the deepest T_d
 // neighbour, a spanning tree preferring separator-separator edges is grown
 // from there, and the root path holding the most separator vertices is
-// attached.
+// attached. The work is O(|comp| + Σ deg) per sub-phase, independent of
+// the graph size. It is safe to call concurrently on distinct partial trees.
 func JoinSeparator(g *graph.Graph, pt *PartialTree, comp []int, sep []int) (*JoinStats, error) {
 	return joinSeparator(g, pt, comp, sep, nil)
 }
@@ -68,7 +98,25 @@ func JoinSeparator(g *graph.Graph, pt *PartialTree, comp []int, sep []int) (*Joi
 // the two PA problems of the DFS-RULE, and marking the attached path)
 // and records the remaining separator count.
 func joinSeparator(g *graph.Graph, pt *PartialTree, comp []int, sep []int, m *dist.Meter) (*JoinStats, error) {
-	sc := newJoinScratch(g.N())
+	sc := acquireJoinScratch(g.N())
+	defer joinPool.Put(sc)
+	return sc.join(g, pt, comp, sep, m)
+}
+
+// join runs one JOIN-PROBLEM on sc, leaving inComp and missing cleared on
+// every exit.
+func (sc *joinScratch) join(g *graph.Graph, pt *PartialTree, comp []int, sep []int, m *dist.Meter) (*JoinStats, error) {
+	// Component roots are scanned in ascending vertex order.
+	if !slices.IsSorted(comp) {
+		comp = slices.Clone(comp)
+		slices.Sort(comp)
+	}
+	defer func() {
+		for _, v := range comp {
+			sc.inComp[v] = false
+			sc.missing[v] = false
+		}
+	}()
 	for _, v := range comp {
 		if pt.Has(v) {
 			return nil, fmt.Errorf("dfs: component vertex %d already added", v)
@@ -108,7 +156,7 @@ func joinSeparator(g *graph.Graph, pt *PartialTree, comp []int, sep []int, m *di
 			subSpan.SetAttr("remaining", int64(missingCnt))
 		}
 		// Components of the not-yet-added part of comp.
-		for _, x := range componentsWithin(g, sc, pt) {
+		for _, x := range componentsWithin(g, sc, pt, comp) {
 			holds := false
 			for _, v := range x {
 				if sc.missing[v] {
@@ -154,22 +202,23 @@ func joinSeparator(g *graph.Graph, pt *PartialTree, comp []int, sep []int, m *di
 }
 
 // componentsWithin returns the connected components of the not-yet-added
-// vertices of the component set, each sorted ascending. Roots are scanned
-// in ascending vertex order, so the component order is deterministic.
-func componentsWithin(g *graph.Graph, sc *joinScratch, pt *PartialTree) [][]int {
-	sc.epoch++
-	ep := sc.epoch
+// vertices of comp (sorted ascending, and marked in sc.inComp), each sorted
+// ascending. Roots are scanned in ascending vertex order, so the component
+// order is deterministic.
+func componentsWithin(g *graph.Graph, sc *joinScratch, pt *PartialTree, comp []int) [][]int {
+	ep := sc.nextEpoch()
 	var comps [][]int
-	for v := 0; v < g.N(); v++ {
-		if !sc.inComp[v] || sc.seenEp[v] == ep || pt.Has(v) {
+	for _, v := range comp {
+		if sc.seenEp[v] == ep || pt.Has(v) {
 			continue
 		}
-		var comp []int
+		var c []int
+		//planarvet:narrowok v is a vertex id, < n and graph.New bounds n to MaxInt32
 		sc.queue = append(sc.queue[:0], int32(v))
 		sc.seenEp[v] = ep
 		for qi := 0; qi < len(sc.queue); qi++ {
 			x := int(sc.queue[qi])
-			comp = append(comp, x)
+			c = append(c, x)
 			for _, id := range g.IncidentEdges(x) {
 				w := g.Other(int(id), x)
 				if sc.inComp[w] && sc.seenEp[w] != ep && !pt.Has(w) {
@@ -179,8 +228,8 @@ func componentsWithin(g *graph.Graph, sc *joinScratch, pt *PartialTree) [][]int 
 				}
 			}
 		}
-		sort.Ints(comp)
-		comps = append(comps, comp)
+		sort.Ints(c)
+		comps = append(comps, c)
 	}
 	return comps
 }
@@ -195,8 +244,7 @@ func attachBestPath(g *graph.Graph, pt *PartialTree, x []int, sc *joinScratch) e
 	if entry < 0 {
 		return fmt.Errorf("dfs: component has no neighbour in the partial tree")
 	}
-	sc.epoch++
-	ep := sc.epoch
+	ep := sc.nextEpoch()
 	// seenEp doubles as x-membership here (it is idle between
 	// componentsWithin calls, and each call takes a fresh epoch).
 	for _, v := range x {
@@ -307,6 +355,9 @@ func pickAndAttach(g *graph.Graph, pt *PartialTree, x []int, sc *joinScratch, an
 	// The path entry..best, in attach order.
 	var path []int
 	for v := best; v != -1; v = int(sc.parent[v]) {
+		if len(path) == len(x) {
+			return fmt.Errorf("dfs: attachment path from %d does not reach the entry", best)
+		}
 		path = append(path, v)
 	}
 	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {

@@ -1,8 +1,10 @@
 package dfs
 
 import (
+	"runtime"
 	"testing"
 
+	"planardfs/internal/gen"
 	"planardfs/internal/graph"
 )
 
@@ -46,5 +48,39 @@ func TestJoinDequeZeroAlloc(t *testing.T) {
 	}
 	if len(sc.order) != len(x) {
 		t.Fatalf("BFS settled %d vertices, want %d", len(sc.order), len(x))
+	}
+}
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// TestBuildAllocGrowth is the growth-rate gate on Build's memory: bytes
+// allocated per vertex on stacked triangulations may grow at most 1.6×
+// from n = 2048 to n = 8192. Each per-component step costs O(|C|), so the
+// per-vertex bytes grow only with the O(log n) phase count; a step that
+// does whole-graph work again makes the ratio about 4×.
+func TestBuildAllocGrowth(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gate is meaningless under -race: sync.Pool drops items")
+	}
+	perVertex := func(n int) float64 {
+		in, err := gen.StackedTriangulation(n, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if _, _, err := Build(in.G, in.Emb, in.OuterDart, 0); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+	}
+	small, large := perVertex(2048), perVertex(8192)
+	ratio := large / small
+	t.Logf("Build bytes/vertex: n=2048 %.0f, n=8192 %.0f, ratio %.2f", small, large, ratio)
+	if ratio > 1.6 {
+		t.Fatalf("Build bytes per vertex grew %.2f× from n=2048 to n=8192, want ≤ 1.6×", ratio)
 	}
 }

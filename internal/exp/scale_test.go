@@ -7,15 +7,18 @@ import (
 
 	"planardfs/internal/cert"
 	"planardfs/internal/chaos"
+	"planardfs/internal/dfs"
+	"planardfs/internal/dist"
 	"planardfs/internal/gen"
 	"planardfs/internal/separator"
+	"planardfs/internal/shortcut"
 	"planardfs/internal/spanning"
 	"planardfs/internal/weights"
 )
 
 // runTheorem2Pipeline drives the full Theorem 2 stack end to end on one
-// generated instance: spanning tree (certified), DFS tree under the
-// supervised recovery runtime, Theorem 1 cycle separator, and the
+// generated instance: spanning tree (certified), the Theorem 2 DFS tree
+// under the supervised recovery runtime, Theorem 1 cycle separator, and the
 // separator's proof-labeling certificate. It is the acceptance path for
 // the flat-substrate refactor — the same sequence must complete at
 // n >= 10^6 (see TestTheorem2PipelineMillion).
@@ -49,17 +52,20 @@ func runTheorem2Pipeline(t *testing.T, family string, n int) {
 	}
 	lap("spanning")
 
-	// Stage 2: DFS with recovery — the deep DFS producer supervised by the
-	// certify-retry runtime (fault-free here, so one certified attempt).
+	// Stage 2: the Theorem 2 DFS (dfs.Build) supervised by the
+	// certify-retry runtime (fault-free here, so one certified attempt),
+	// with the facade's separator-pipeline budget and paper-model round
+	// cost.
 	dfsStage := chaos.Stage[[]int]{
 		Name:          "dfs",
-		DefaultBudget: 10 * n,
+		DefaultBudget: 10*g.N() + 100,
 		Run: func(attempt, budget int) ([]int, int, error) {
-			dt, err := spanning.DeepDFSTree(g, 0)
+			pt, dtr, err := dfs.Build(g, emb, inst.OuterDart, 0)
 			if err != nil {
 				return nil, 0, err
 			}
-			return dt.Parent, dt.MaxDepth(), nil
+			cm := shortcut.PaperCost{D: tree.MaxDepth(), N: g.N()}
+			return pt.Parent, dist.DFSBuildOps(g.N(), dtr.Phases, dtr.MaxJoinSubPhases).Rounds(cm, 1), nil
 		},
 		Certify: chaos.DFSCertifier(g, 0, cert.Options{}),
 	}

@@ -26,6 +26,7 @@ package planar
 
 import (
 	"fmt"
+	"sync"
 
 	"planardfs/internal/graph"
 )
@@ -66,6 +67,10 @@ func DartFrom(g *graph.Graph, id, u int) int {
 // Embedding is a rotation system over a graph: for every vertex, the
 // clockwise cyclic ordering of its outgoing darts, stored as flat
 // dart-indexed arrays.
+//
+// An Embedding is immutable once a constructor returns it (InsertEdge and
+// Clone return new values), so it is safe for concurrent reads, and its face
+// trace is computed at most once (see TraceFaces).
 type Embedding struct {
 	g *graph.Graph
 	// next[d]/prev[d] are the clockwise successor/predecessor of dart d in
@@ -78,6 +83,9 @@ type Embedding struct {
 	// first[v] is the dart at position 0 of v's rotation, or -1 for an
 	// isolated vertex.
 	first []int32
+	// faces memoizes TraceFaces; facesOnce guards it.
+	facesOnce sync.Once
+	faces     *Faces
 }
 
 // alloc returns an embedding shell with pos initialised to -1.

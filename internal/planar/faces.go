@@ -20,28 +20,33 @@ type Faces struct {
 	cyc []int32
 }
 
-// TraceFaces computes all faces of the embedding by iterating the FaceNext
-// successor rule. Face f's cycle begins at its smallest dart. The
+// TraceFaces returns all faces of the embedding, found by iterating the
+// FaceNext successor rule. Face f's cycle begins at its smallest dart.
+//
+// The trace runs once per embedding and is memoized: every call returns the
+// same *Faces, shared by all callers (and goroutines) and read-only. The
 // allocation prologue lives here; the trace itself is the noalloc core
-// below, so retracing after virtual-edge insertions stays GC-quiet.
+// below.
 func (emb *Embedding) TraceFaces() *Faces {
-	m2 := 2 * emb.g.M()
-	fs := &Faces{
-		emb:    emb,
-		FaceOf: make([]int32, m2),
-		cyc:    make([]int32, m2),
-		// Every face holds at least one dart, so m2+1 offsets suffice.
-		off: make([]int32, 1, m2+1),
-	}
-	emb.traceFacesInto(fs)
-	return fs
+	emb.facesOnce.Do(func() {
+		m2 := 2 * emb.g.M()
+		fs := &Faces{
+			emb:    emb,
+			FaceOf: make([]int32, m2),
+			cyc:    make([]int32, m2),
+			// Every face holds at least one dart, so m2+1 offsets suffice.
+			off: make([]int32, 1, m2+1),
+		}
+		emb.traceFacesInto(fs)
+		emb.faces = fs
+	})
+	return emb.faces
 }
 
 // traceFacesInto runs the face trace proper over storage presized by
 // TraceFaces: FaceOf and cyc hold 2m darts, off has capacity for one
-// offset per face plus the leading zero. This is the separator pipeline's
-// steady-state face walk — it re-runs after every virtual-edge insertion —
-// so the loop must not touch the allocator.
+// offset per face plus the leading zero. The loop must not touch the
+// allocator, so the trace costs exactly its three arrays.
 //
 //planarvet:noalloc TestFaceTraceZeroAlloc
 func (emb *Embedding) traceFacesInto(fs *Faces) {

@@ -9,8 +9,7 @@ import (
 // TestFaceTraceZeroAlloc is the runtime gate behind the
 // //planarvet:noalloc annotation on (*Embedding).traceFacesInto: after
 // TraceFaces has allocated the CSR storage once, re-tracing into the same
-// Faces value — the steady-state walk after every virtual-edge insertion —
-// performs zero allocations.
+// Faces value performs zero allocations.
 func TestFaceTraceZeroAlloc(t *testing.T) {
 	g := graph.New(3)
 	g.MustAddEdge(0, 1) // darts 0,1

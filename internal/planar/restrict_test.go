@@ -1,6 +1,7 @@
 package planar
 
 import (
+	"slices"
 	"testing"
 
 	"planardfs/internal/graph"
@@ -47,8 +48,9 @@ func TestRestrictToTriangle(t *testing.T) {
 	// The restricted outer face must be the triangle's outer side (length 3
 	// both ways here, but must contain the dart 1->0 whose left side is the
 	// parent outer region).
-	id, _ := res.G.EdgeID(res.Sub[0], res.Sub[1])
-	want := res.Emb.OuterFaceOf(DartFrom(res.G, id, res.Sub[1]))
+	// vs is listed in order, so sub-vertex i is parent vertex i.
+	id, _ := res.G.EdgeID(0, 1)
+	want := res.Emb.OuterFaceOf(DartFrom(res.G, id, 1))
 	if res.Emb.OuterFaceOf(res.OuterDart) != want {
 		t.Fatal("restricted outer face wrong")
 	}
@@ -70,14 +72,9 @@ func TestRestrictToStar(t *testing.T) {
 	if err := res.Emb.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	// Orig/Sub are inverse.
-	for i, v := range res.Orig {
-		if res.Sub[v] != i {
-			t.Fatal("Orig/Sub not inverse")
-		}
-	}
-	if res.Sub[2] != -1 {
-		t.Fatal("absent vertex should map to -1")
+	// Orig lists the kept vertices in the order given.
+	if !slices.Equal(res.Orig, []int{0, 1, 3}) {
+		t.Fatalf("Orig = %v, want [0 1 3]", res.Orig)
 	}
 }
 
