@@ -1,8 +1,10 @@
 package dfs
 
 import (
+	"math"
 	"runtime"
 	"testing"
+	"time"
 
 	"planardfs/internal/gen"
 	"planardfs/internal/graph"
@@ -82,5 +84,38 @@ func TestBuildAllocGrowth(t *testing.T) {
 	t.Logf("Build bytes/vertex: n=2048 %.0f, n=8192 %.0f, ratio %.2f", small, large, ratio)
 	if ratio > 1.6 {
 		t.Fatalf("Build bytes per vertex grew %.2f× from n=2048 to n=8192, want ≤ 1.6×", ratio)
+	}
+}
+
+// TestBuildTimeGrowth is the growth-rate gate on Build's wall time: the
+// time per vertex on grids, min of 5 runs, may grow at most 2.5× from
+// n = 1024 to n = 16 384. Grids keep a few large components through many
+// phases, so a per-component step that is quadratic in the component makes
+// the ratio about 6×.
+func TestBuildTimeGrowth(t *testing.T) {
+	if raceEnabled || testing.Short() {
+		t.Skip("wall-time gate needs an uninstrumented, full-length run")
+	}
+	perVertex := func(n int) float64 {
+		in, err := gen.ByName("grid", n, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		best := time.Duration(math.MaxInt64)
+		for run := 0; run < 5; run++ {
+			runtime.GC()
+			start := time.Now()
+			if _, _, err := Build(in.G, in.Emb, in.OuterDart, 0); err != nil {
+				t.Fatal(err)
+			}
+			best = min(best, time.Since(start))
+		}
+		return float64(best.Nanoseconds()) / float64(in.G.N())
+	}
+	small, large := perVertex(1024), perVertex(16384)
+	ratio := large / small
+	t.Logf("Build ns/vertex on grids: n=1024 %.0f, n=16384 %.0f, ratio %.2f", small, large, ratio)
+	if ratio > 2.5 {
+		t.Fatalf("Build time per vertex grew %.2f× from n=1024 to n=16384, want ≤ 2.5×", ratio)
 	}
 }

@@ -390,8 +390,37 @@ func pickInnermost(cfg *weights.Config, cand []int, w map[int]int) int {
 }
 
 // pickOutermostAmong returns a candidate edge whose face is contained in no
-// other candidate's face, walking up the containment order.
+// other candidate's face. The regions of fundamental cycles are nested
+// along the dual cotree, so the candidates whose faces contain cand[0]'s
+// form a chain, and one scan keeps its top: O(|cand|) containment tests.
+//
+// EdgeContainedInFace equals region containment only when the inner edge
+// is non-ancestor-type, which every fundamental edge of a BFS tree of a
+// simple graph is (DESIGN.md §5). A candidate set holding an
+// ancestor-type edge takes pickOutermostWalk, so DFS-tree configurations
+// keep their exact outputs.
 func pickOutermostAmong(cfg *weights.Config, cand []int) int {
+	base := cand[0]
+	if cfg.Classify(base).Ancestor {
+		return pickOutermostWalk(cfg, cand)
+	}
+	best := base
+	for _, f := range cand[1:] {
+		ecF := cfg.Classify(f)
+		if ecF.Ancestor {
+			return pickOutermostWalk(cfg, cand)
+		}
+		if cfg.EdgeContainedInFace(ecF, base) &&
+			(best == base || cfg.EdgeContainedInFace(ecF, best)) {
+			best = f
+		}
+	}
+	return best
+}
+
+// pickOutermostWalk is the pairwise form of pickOutermostAmong: it walks up
+// the containment order from cand[0], scanning every candidate per step.
+func pickOutermostWalk(cfg *weights.Config, cand []int) int {
 	cur := cand[0]
 	for steps := 0; steps <= len(cand); steps++ {
 		found := -1

@@ -1,6 +1,7 @@
 package separator
 
 import (
+	"math/rand"
 	"testing"
 
 	"planardfs/internal/gen"
@@ -13,14 +14,25 @@ import (
 // kind ("bfs" or "dfs"), rooted on the outer face.
 func buildConfig(t *testing.T, in *gen.Instance, kind string) *weights.Config {
 	t.Helper()
-	fs := in.Emb.TraceFaces()
-	root := fs.FaceVertices(in.OuterFace())[0]
+	return rootedConfig(t, in, kind, in.Emb.TraceFaces().FaceVertices(in.OuterFace())[0], nil)
+}
+
+// rootedConfig makes a configuration over the instance with a tree of the
+// given kind rooted at root, which must lie on the outer face: "bfs",
+// "dfs" (DeepDFSTree) or "mixed" (mixedTree, drawn from rng).
+func rootedConfig(t *testing.T, in *gen.Instance, kind string, root int, rng *rand.Rand) *weights.Config {
+	t.Helper()
 	var tr *spanning.Tree
 	var err error
-	if kind == "bfs" {
+	switch kind {
+	case "bfs":
 		tr, err = spanning.BFSTree(in.G, root)
-	} else {
+	case "dfs":
 		tr, err = spanning.DeepDFSTree(in.G, root)
+	case "mixed":
+		tr = mixedTree(t, in.G, root, rng)
+	default:
+		t.Fatalf("unknown tree kind %q", kind)
 	}
 	if err != nil {
 		t.Fatal(err)
