@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -9,13 +10,10 @@ import (
 	"testing"
 
 	"planardfs/internal/chaos"
-	"planardfs/internal/dfs"
-	"planardfs/internal/dist"
 	"planardfs/internal/gen"
 	"planardfs/internal/graph"
 	"planardfs/internal/guard"
-	"planardfs/internal/shortcut"
-	"planardfs/internal/spanning"
+	"planardfs/internal/pipeline"
 )
 
 // GuardEntry is one (family, case, n) admission-guard measurement. The
@@ -128,17 +126,11 @@ func measureGuardFamily(family string, n int) ([]GuardEntry, error) {
 	// Charged pipeline rounds of the build the guard fronts, for the
 	// overhead column.
 	fs := in.Emb.TraceFaces()
-	root := fs.FaceVertices(in.OuterFace())[0]
-	_, tr, err := dfs.Build(in.G, in.Emb, in.OuterDart, root)
+	run, err := pipeline.Run(context.Background(), in, pipeline.Options{Root: fs.FaceVertices(in.OuterFace())[0]})
 	if err != nil {
 		return nil, err
 	}
-	bt, err := spanning.BFSTree(in.G, root)
-	if err != nil {
-		return nil, err
-	}
-	cm := shortcut.PaperCost{D: bt.MaxDepth(), N: in.G.N()}
-	valid.PipelineRounds = dist.DFSBuildOps(in.G.N(), tr.Phases, tr.MaxJoinSubPhases).Rounds(cm, 1)
+	valid.PipelineRounds = run.Report.Attempts[0].Rounds
 	if valid.PipelineRounds > 0 {
 		valid.Overhead = float64(valid.GuardRounds) / float64(valid.PipelineRounds)
 	}

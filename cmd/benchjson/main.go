@@ -55,6 +55,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -645,12 +646,12 @@ func measureChaos(program, family, specName, spec string, n int, seq bool, worke
 		switch program {
 		case "bfs":
 			st := chaos.BFSTreeStage(g, 0, p, opt)
-			_, rep, err := chaos.RunWithRecovery(st, nil, chaos.Policy{})
+			_, rep, err := chaos.Run(context.Background(), nil, st, nil, chaos.Policy{})
 			return rep, err
 		case "awerbuch":
 			primary := chaos.AwerbuchDFS(g, 0, p, opt)
 			fallback := chaos.AwerbuchDFS(g, 0, nil, opt)
-			_, rep, err := chaos.RunWithRecovery(primary, &fallback, chaos.Policy{})
+			_, rep, err := chaos.Run(context.Background(), nil, primary, &fallback, chaos.Policy{})
 			return rep, err
 		default:
 			return nil, fmt.Errorf("unknown program %q", program)

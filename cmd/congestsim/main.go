@@ -29,6 +29,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -282,11 +283,11 @@ func runSupervised(program string, g *graph.Graph, parts int, plan *chaos.Plan, 
 	switch program {
 	case "bfs":
 		st := chaos.BFSTreeStage(g, 0, plan, opt)
-		_, rep, err = chaos.RunWithRecovery(st, nil, pol)
+		_, rep, err = chaos.Run(context.Background(), nil, st, nil, pol)
 	case "awerbuch":
 		primary := chaos.AwerbuchDFS(g, 0, plan, opt)
 		fallback := chaos.AwerbuchDFS(g, 0, nil, opt) // fault-free baseline
-		_, rep, err = chaos.RunWithRecovery(primary, &fallback, pol)
+		_, rep, err = chaos.Run(context.Background(), nil, primary, &fallback, pol)
 	case "pa":
 		partOf := make([]int, g.N())
 		value := make([]int, g.N())
@@ -295,7 +296,7 @@ func runSupervised(program string, g *graph.Graph, parts int, plan *chaos.Plan, 
 			value[v] = 1
 		}
 		st := chaos.PartwiseSum(g, 0, partOf, value, plan, opt)
-		_, rep, err = chaos.RunWithRecovery(st, nil, pol)
+		_, rep, err = chaos.Run(context.Background(), nil, st, nil, pol)
 	default:
 		return fmt.Errorf("-recover supports programs bfs, awerbuch and pa (got %q)", program)
 	}

@@ -20,6 +20,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -31,6 +32,7 @@ import (
 	"planardfs/internal/dfs"
 	"planardfs/internal/exp"
 	"planardfs/internal/gen"
+	"planardfs/internal/pipeline"
 	"planardfs/internal/trace"
 )
 
@@ -234,16 +236,16 @@ func recoveryRun(family string, n int, seed int64, spec string, chaosSeed int64)
 		plan = planardfs.NewFaultPlan(chaosSeed, s)
 	}
 	fmt.Printf("supervised DFS run: %s n=%d m=%d root=%d\n", in.Name, in.G.N(), in.G.M(), root)
-	parent, rep, err := planardfs.BuildDFSTreeWithRecovery(in, root, plan, planardfs.RecoveryPolicy{})
+	res, err := pipeline.Run(context.Background(), in, pipeline.Options{Root: root, Plan: plan})
 	if err != nil {
 		return err
 	}
-	printReport(rep)
-	if rep.Outcome == planardfs.RecoveryFailed {
-		return fmt.Errorf("recovery exhausted after %d attempts", len(rep.Attempts))
+	printReport(res.Report)
+	if res.Report.Outcome == planardfs.RecoveryFailed {
+		return fmt.Errorf("recovery exhausted after %d attempts", len(res.Report.Attempts))
 	}
 	edges := 0
-	for _, p := range parent {
+	for _, p := range res.Parent {
 		if p >= 0 {
 			edges++
 		}

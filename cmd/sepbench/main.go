@@ -28,6 +28,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -332,7 +333,7 @@ func recoveryRun(family string, n int, seed int64, spec string, chaosSeed int64)
 	fmt.Printf("supervised separator run: %s n=%d m=%d root=%d\n", in.Name, in.G.N(), in.G.M(), root)
 	primary := separatorStage(in, cfg, rounds, plan)
 	fallback := separatorStage(in, cfg, rounds, nil) // fault-free baseline
-	sep, rep, err := chaos.RunWithRecovery(primary, &fallback, chaos.Policy{})
+	sep, rep, err := chaos.Run(context.Background(), nil, primary, &fallback, chaos.Policy{})
 	if err != nil {
 		return err
 	}

@@ -26,7 +26,7 @@ import (
 
 // DefaultPackages is the comma-separated list of import-path suffixes the
 // determinism contract covers; override with -mapiter.packages.
-const DefaultPackages = "internal/congest,internal/dist,internal/dfs,internal/separator,internal/shortcut,internal/cert,internal/weights,internal/spanning,internal/chaos,internal/serve,internal/graph,internal/planar,internal/gen,internal/sepengine,internal/guard"
+const DefaultPackages = "internal/congest,internal/dist,internal/dfs,internal/separator,internal/shortcut,internal/cert,internal/weights,internal/spanning,internal/chaos,internal/serve,internal/graph,internal/planar,internal/gen,internal/sepengine,internal/guard,internal/pipeline"
 
 var packages string
 

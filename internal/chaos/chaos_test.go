@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -314,7 +315,7 @@ func syntheticStage(name string, acceptAt int, runErrAt map[int]error) Stage[int
 }
 
 func TestRecoveryOutcomeCertified(t *testing.T) {
-	res, rep, err := RunWithRecovery(syntheticStage("p", 1, nil), nil, Policy{})
+	res, rep, err := Run(context.Background(), nil, syntheticStage("p", 1, nil), nil, Policy{})
 	if err != nil || res != 1 {
 		t.Fatalf("res = %d, err = %v", res, err)
 	}
@@ -325,7 +326,7 @@ func TestRecoveryOutcomeCertified(t *testing.T) {
 
 func TestRecoveryOutcomeCertifiedRetryWithBackoff(t *testing.T) {
 	rec := trace.NewRecorder()
-	res, rep, err := RunWithRecovery(syntheticStage("p", 3, nil), nil,
+	res, rep, err := Run(context.Background(), nil, syntheticStage("p", 3, nil), nil,
 		Policy{MaxAttempts: 3, BaseBudget: 100, BackoffFactor: 2, Tracer: rec})
 	if err != nil || res != 3 {
 		t.Fatalf("res = %d, err = %v", res, err)
@@ -352,10 +353,33 @@ func TestRecoveryOutcomeCertifiedRetryWithBackoff(t *testing.T) {
 	}
 }
 
+// The round budget saturates instead of wrapping: 70 doublings of the
+// stage's default budget overflow an int, so every attempt after the
+// ~50th would otherwise be granted a non-positive budget.
+func TestRecoveryBudgetSaturates(t *testing.T) {
+	_, rep, err := Run(context.Background(), nil, syntheticStage("p", 0, nil), nil, Policy{MaxAttempts: 70})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Outcome != OutcomeFailed || len(rep.Attempts) != 70 {
+		t.Fatalf("outcome = %v after %d attempts, want failed after 70", rep.Outcome, len(rep.Attempts))
+	}
+	prev := 0
+	for _, a := range rep.Attempts {
+		if a.Budget <= 0 || a.Budget < prev {
+			t.Fatalf("attempt %d budget = %d after %d, want positive and non-decreasing", a.Attempt, a.Budget, prev)
+		}
+		prev = a.Budget
+	}
+	if prev != math.MaxInt {
+		t.Fatalf("final budget = %d, want saturation at math.MaxInt", prev)
+	}
+}
+
 func TestRecoveryOutcomeDegraded(t *testing.T) {
 	rec := trace.NewRecorder()
 	fb := syntheticStage("fb", 1, nil)
-	res, rep, err := RunWithRecovery(syntheticStage("p", 0, nil), &fb,
+	res, rep, err := Run(context.Background(), nil, syntheticStage("p", 0, nil), &fb,
 		Policy{MaxAttempts: 2, Tracer: rec})
 	if err != nil || res != 1 {
 		t.Fatalf("res = %d, err = %v", res, err)
@@ -374,7 +398,7 @@ func TestRecoveryOutcomeDegraded(t *testing.T) {
 func TestRecoveryOutcomeFailed(t *testing.T) {
 	boom := errors.New("budget exhausted")
 	fb := syntheticStage("fb", 0, nil)
-	_, rep, err := RunWithRecovery(
+	_, rep, err := Run(context.Background(), nil,
 		syntheticStage("p", 0, map[int]error{1: boom, 2: boom, 3: boom}), &fb, Policy{})
 	if err != nil {
 		t.Fatal(err)
@@ -398,7 +422,7 @@ func TestRecoveryInfrastructureError(t *testing.T) {
 		Run:           func(attempt, budget int) (int, int, error) { return 0, 0, nil },
 		Certify:       func(int) (Certification, error) { return Certification{}, infra },
 	}
-	if _, _, err := RunWithRecovery(st, nil, Policy{}); !errors.Is(err, infra) {
+	if _, _, err := Run(context.Background(), nil, st, nil, Policy{}); !errors.Is(err, infra) {
 		t.Fatalf("err = %v, want the infrastructure error", err)
 	}
 }
@@ -410,7 +434,7 @@ func TestAwerbuchStageRecovers(t *testing.T) {
 	g := grid(t, 25)
 	plan := NewPlan(9, Spec{Drops: 2, Protect: []int{0}})
 	st := AwerbuchDFS(g, 0, plan, cert.Options{Sequential: true})
-	parent, rep, err := RunWithRecovery(st, nil, Policy{MaxAttempts: 4})
+	parent, rep, err := Run(context.Background(), nil, st, nil, Policy{MaxAttempts: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,7 +518,7 @@ func TestRecoveryContextCancellation(t *testing.T) {
 	}
 	fb := syntheticStage("fb", 1, nil)
 	rec := trace.NewRecorder()
-	_, rep, err := RunWithRecoveryContext(ctx, st, &fb, Policy{MaxAttempts: 5, Tracer: rec})
+	_, rep, err := Run(ctx, nil, st, &fb, Policy{MaxAttempts: 5, Tracer: rec})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -523,7 +547,7 @@ func TestRecoveryContextPreCancelled(t *testing.T) {
 		},
 		Certify: func(int) (Certification, error) { return Certification{OK: true}, nil },
 	}
-	if _, _, err := RunWithRecoveryContext(ctx, st, nil, Policy{}); !errors.Is(err, context.Canceled) {
+	if _, _, err := Run(ctx, nil, st, nil, Policy{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if runs != 0 {

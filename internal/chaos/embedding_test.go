@@ -122,9 +122,9 @@ func TestEmbeddingBurstDecay(t *testing.T) {
 	}
 }
 
-// TestRunWithRecoveryGuarded pins the guard stage of the supervised
-// runtime: a rejecting guard ends the run as rejected-input without any
-// producer attempt; an admitting guard falls through to certification.
+// TestRunWithRecoveryGuarded pins the admit (guard) stage of Run: a
+// rejecting guard ends the run as rejected-input without any producer
+// attempt; an admitting guard falls through to certification.
 func TestRunWithRecoveryGuarded(t *testing.T) {
 	rejection := errors.New("bad input")
 	stage := Stage[int]{
@@ -133,7 +133,7 @@ func TestRunWithRecoveryGuarded(t *testing.T) {
 		Run:           func(attempt, budget int) (int, int, error) { return 42, 1, nil },
 		Certify:       func(int) (Certification, error) { return Certification{OK: true}, nil },
 	}
-	res, rep, err := RunWithRecoveryGuarded(context.Background(), func(context.Context) (error, error) {
+	res, rep, err := Run(context.Background(), func(context.Context) (error, error) {
 		return rejection, nil
 	}, stage, nil, Policy{})
 	if err != nil {
@@ -149,7 +149,7 @@ func TestRunWithRecoveryGuarded(t *testing.T) {
 		t.Fatalf("rejection not recorded: %q %v", rep.Rejection, rep.RejectionErr)
 	}
 
-	res, rep, err = RunWithRecoveryGuarded(context.Background(), func(context.Context) (error, error) {
+	res, rep, err = Run(context.Background(), func(context.Context) (error, error) {
 		return nil, nil
 	}, stage, nil, Policy{})
 	if err != nil || res != 42 || rep.Outcome != OutcomeCertified {
@@ -157,7 +157,7 @@ func TestRunWithRecoveryGuarded(t *testing.T) {
 	}
 
 	infra := errors.New("boom")
-	_, rep, err = RunWithRecoveryGuarded(context.Background(), func(context.Context) (error, error) {
+	_, rep, err = Run(context.Background(), func(context.Context) (error, error) {
 		return nil, infra
 	}, stage, nil, Policy{})
 	if !errors.Is(err, infra) || rep.Outcome != OutcomeFailed {

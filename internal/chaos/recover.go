@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"context"
+	"math"
 
 	"planardfs/internal/cert"
 	"planardfs/internal/trace"
@@ -149,100 +150,66 @@ type Report struct {
 // (rejection, err): a non-nil rejection means the input itself is bad and
 // the run must end in OutcomeRejectedInput without executing any producer;
 // a non-nil err is an infrastructure failure. Both nil admits the input.
-// The package deliberately does not depend on internal/guard — the facade
-// adapts a guard validation into this shape.
+// The package deliberately does not depend on internal/guard — the
+// pipeline adapts a guard validation into this shape.
 type GuardFunc func(ctx context.Context) (rejection error, err error)
 
-// RunWithRecovery supervises primary (and, when primary exhausts its
-// attempts, the optional fallback): each stage is retried up to
-// Policy.MaxAttempts times under exponentially growing round budgets until
-// an attempt is certified. The returned result is meaningful only when the
-// report's Outcome is not OutcomeFailed; the error reports infrastructure
+// Run supervises primary (and, when primary exhausts its attempts, the
+// optional fallback): each stage is retried up to Policy.MaxAttempts times
+// under exponentially growing round budgets until an attempt is certified.
+// The result is meaningful only when the report's Outcome is certified,
+// certified-after-retry or degraded; the error reports infrastructure
 // failures only (a fault-induced failure is an Outcome, not an error).
-func RunWithRecovery[T any](primary Stage[T], fallback *Stage[T], pol Policy) (T, *Report, error) {
-	return RunWithRecoveryContext(context.Background(), primary, fallback, pol)
-}
-
-// RunWithRecoveryContext is RunWithRecovery under a cancellation context:
-// the supervisor consults ctx before every attempt and before degrading to
-// the fallback, so cancelling stops the retry loop mid-flight instead of
-// letting it burn through the remaining attempt budget. Cancellation is an
-// infrastructure failure: the report's Outcome is OutcomeFailed and the
-// returned error wraps ctx.Err(). Stages whose Run closures are themselves
-// long-running should capture the same ctx and return early when it is
-// done; the supervisor treats that like any other failed attempt and then
-// notices the cancellation before retrying.
-func RunWithRecoveryContext[T any](ctx context.Context, primary Stage[T], fallback *Stage[T], pol Policy) (T, *Report, error) {
+//
+// A non-nil admit runs once before any producer attempt: a rejection ends
+// the run with OutcomeRejectedInput, so the producers never see the bad
+// input, and an admit error ends it as OutcomeFailed with the error.
+//
+// The supervisor consults ctx before every attempt, so cancelling stops
+// the retry loop mid-flight: the Outcome is OutcomeFailed and the error
+// wraps ctx.Err(). Long-running stages should capture the same ctx and
+// return early when it is done.
+func Run[T any](ctx context.Context, admit GuardFunc, primary Stage[T], fallback *Stage[T], pol Policy) (T, *Report, error) {
 	tr := trace.OrNop(pol.Tracer)
-	sup := tr.StartSpan(trace.LayerChaos, "chaos.supervise")
-	rep := &Report{}
 	var zero T
-
-	res, ok, err := runStage(ctx, primary, pol, tr, rep)
-	if err != nil {
-		rep.Outcome = OutcomeFailed
-		sup.End()
-		return zero, rep, err
-	}
-	if ok {
-		if len(rep.Attempts) == 1 {
-			rep.Outcome = OutcomeCertified
-		} else {
-			rep.Outcome = OutcomeCertifiedRetry
-		}
-		finish(tr, sup, rep)
-		return res, rep, nil
-	}
-	if fallback != nil {
-		tr.Count("chaos.fallbacks", 1)
-		res, ok, err = runStage(ctx, *fallback, pol, tr, rep)
-		if err != nil {
-			rep.Outcome = OutcomeFailed
-			sup.End()
-			return zero, rep, err
-		}
-		if ok {
-			rep.Outcome = OutcomeDegraded
-			finish(tr, sup, rep)
-			return res, rep, nil
-		}
-	}
-	rep.Outcome = OutcomeFailed
-	finish(tr, sup, rep)
-	return zero, rep, nil
-}
-
-// RunWithRecoveryGuarded is RunWithRecoveryContext with an admission
-// guard in front: the guard runs once before any producer attempt, and a
-// rejection ends the run immediately with OutcomeRejectedInput — the
-// producers never see the bad input. A guard infrastructure error ends the
-// run as OutcomeFailed with the error. An admitted input proceeds through
-// the normal supervised retry/degrade loop.
-func RunWithRecoveryGuarded[T any](ctx context.Context, g GuardFunc, primary Stage[T], fallback *Stage[T], pol Policy) (T, *Report, error) {
-	var zero T
-	if g != nil {
-		tr := trace.OrNop(pol.Tracer)
+	if admit != nil {
 		sp := tr.StartSpan(trace.LayerChaos, "chaos.guard")
-		rejection, err := g(ctx)
-		if err != nil {
+		rejection, err := admit(ctx)
+		switch {
+		case err != nil:
 			sp.End()
-			rep := &Report{Outcome: OutcomeFailed}
-			return zero, rep, err
-		}
-		if rejection != nil {
+			return zero, &Report{Outcome: OutcomeFailed}, err
+		case rejection != nil:
 			sp.SetAttr("rejected", 1)
-			rep := &Report{
-				Outcome:      OutcomeRejectedInput,
-				Rejection:    rejection.Error(),
-				RejectionErr: rejection,
-			}
+			rep := &Report{Outcome: OutcomeRejectedInput, Rejection: rejection.Error(), RejectionErr: rejection}
 			finish(tr, sp, rep)
 			return zero, rep, nil
 		}
 		sp.SetAttr("rejected", 0)
 		sp.End()
 	}
-	return RunWithRecoveryContext(ctx, primary, fallback, pol)
+
+	sup := tr.StartSpan(trace.LayerChaos, "chaos.supervise")
+	rep := &Report{Outcome: OutcomeFailed}
+	res, ok, err := runStage(ctx, primary, pol, tr, rep)
+	switch {
+	case err != nil:
+	case ok && len(rep.Attempts) == 1:
+		rep.Outcome = OutcomeCertified
+	case ok:
+		rep.Outcome = OutcomeCertifiedRetry
+	case fallback != nil:
+		tr.Count("chaos.fallbacks", 1)
+		if res, ok, err = runStage(ctx, *fallback, pol, tr, rep); ok {
+			rep.Outcome = OutcomeDegraded
+		}
+	}
+	if err != nil {
+		sup.End()
+		return zero, rep, err
+	}
+	finish(tr, sup, rep)
+	return res, rep, nil
 }
 
 // runStage retries one stage under the policy until an attempt is
@@ -293,7 +260,7 @@ func runStage[T any](ctx context.Context, st Stage[T], pol Policy, tr trace.Trac
 			sp.SetAttr("accepted", 0)
 			sp.End()
 			rep.Attempts = append(rep.Attempts, at)
-			budget *= backoff
+			budget = grow(budget, backoff)
 			continue
 		}
 		cn, cerr := st.Certify(res)
@@ -321,9 +288,18 @@ func runStage[T any](ctx context.Context, st Stage[T], pol Policy, tr trace.Trac
 		if cn.OK {
 			return res, true, nil
 		}
-		budget *= backoff
+		budget = grow(budget, backoff)
 	}
 	return zero, false, nil
+}
+
+// grow is the backoff step of the round budget, saturating at math.MaxInt
+// so that a long retry sequence never wraps to a non-positive budget.
+func grow(budget, backoff int) int {
+	if budget > math.MaxInt/backoff {
+		return math.MaxInt
+	}
+	return budget * backoff
 }
 
 // countFaults exports an attempt's fired-fault tally as chaos.* counters.

@@ -1,25 +1,24 @@
 package exp
 
 import (
+	"context"
 	"os"
 	"testing"
 	"time"
 
 	"planardfs/internal/cert"
 	"planardfs/internal/chaos"
-	"planardfs/internal/dfs"
-	"planardfs/internal/dist"
 	"planardfs/internal/gen"
+	"planardfs/internal/pipeline"
 	"planardfs/internal/separator"
-	"planardfs/internal/shortcut"
-	"planardfs/internal/spanning"
 	"planardfs/internal/weights"
 )
 
 // runTheorem2Pipeline drives the full Theorem 2 stack end to end on one
-// generated instance: spanning tree (certified), the Theorem 2 DFS tree
-// under the supervised recovery runtime, Theorem 1 cycle separator, and the
-// separator's proof-labeling certificate. It is the acceptance path for
+// generated instance: the shared pipeline (BFS spanning tree, then the
+// Theorem 2 DFS tree under the supervised recovery runtime), the spanning
+// tree's certificate, Theorem 1 cycle separator, and the separator's
+// proof-labeling certificate. It is the acceptance path for
 // the flat-substrate refactor — the same sequence must complete at
 // n >= 10^6 (see TestTheorem2PipelineMillion).
 func runTheorem2Pipeline(t *testing.T, family string, n int) {
@@ -37,11 +36,20 @@ func runTheorem2Pipeline(t *testing.T, family string, n int) {
 	g, emb := inst.G, inst.Emb
 	lap("generate")
 
-	// Stage 1: spanning tree, certified by the proof-labeling scheme.
-	tree, err := spanning.BFSTree(g, 0)
+	// Stages 1–2: the shared Theorem 2 pipeline — one BFS spanning tree,
+	// then the DFS tree under the supervised recovery runtime (fault-free
+	// here, so one certified attempt).
+	run, err := pipeline.Run(context.Background(), inst, pipeline.Options{Root: 0})
 	if err != nil {
-		t.Fatalf("spanning: %v", err)
+		t.Fatalf("pipeline: %v", err)
 	}
+	if run.Report.Outcome != chaos.OutcomeCertified {
+		t.Fatalf("supervised dfs ended %v, want certified", run.Report.Outcome)
+	}
+	tree := run.BFS
+	lap("bfs+dfs")
+
+	// The pipeline's spanning tree, certified by the proof-labeling scheme.
 	labels := cert.ProveSpanningTree(tree)
 	verdict, err := cert.VerifySpanningTree(g, labels, cert.Options{})
 	if err != nil {
@@ -51,32 +59,6 @@ func runTheorem2Pipeline(t *testing.T, family string, n int) {
 		t.Fatalf("spanning tree rejected by %d verifiers", len(verdict.Rejectors))
 	}
 	lap("spanning")
-
-	// Stage 2: the Theorem 2 DFS (dfs.Build) supervised by the
-	// certify-retry runtime (fault-free here, so one certified attempt),
-	// with the facade's separator-pipeline budget and paper-model round
-	// cost.
-	dfsStage := chaos.Stage[[]int]{
-		Name:          "dfs",
-		DefaultBudget: 10*g.N() + 100,
-		Run: func(attempt, budget int) ([]int, int, error) {
-			pt, dtr, err := dfs.Build(g, emb, inst.OuterDart, 0)
-			if err != nil {
-				return nil, 0, err
-			}
-			cm := shortcut.PaperCost{D: tree.MaxDepth(), N: g.N()}
-			return pt.Parent, dist.DFSBuildOps(g.N(), dtr.Phases, dtr.MaxJoinSubPhases).Rounds(cm, 1), nil
-		},
-		Certify: chaos.DFSCertifier(g, 0, cert.Options{}),
-	}
-	_, rep, err := chaos.RunWithRecovery(dfsStage, nil, chaos.Policy{})
-	if err != nil {
-		t.Fatalf("supervised dfs: %v", err)
-	}
-	if rep.Outcome != chaos.OutcomeCertified {
-		t.Fatalf("supervised dfs ended %v, want certified", rep.Outcome)
-	}
-	lap("dfs+recover")
 
 	// Stage 3: Theorem 1 cycle separator on the instance.
 	cfg, err := weights.NewConfig(g, emb, inst.OuterDart, tree)

@@ -9,6 +9,7 @@ import (
 
 	"planardfs/internal/chaos"
 	"planardfs/internal/gen"
+	"planardfs/internal/pipeline"
 	"planardfs/internal/sepengine"
 	"planardfs/internal/trace"
 )
@@ -42,18 +43,29 @@ type JobRequest struct {
 	Graph json.RawMessage `json:"graph,omitempty"`
 	// ChaosSpec optionally injects deterministic faults into the build,
 	// e.g. "structural=2,drops=1"; the supervised runtime retries or
-	// degrades, never serving an uncertified decomposition.
+	// degrades, never serving an uncertified decomposition. Each fault
+	// count is at most MaxChaosFaults.
 	ChaosSpec string `json:"chaosSpec,omitempty"`
 	// ChaosSeed seeds the fault plan; used only with ChaosSpec.
 	ChaosSeed int64 `json:"chaosSeed,omitempty"`
-	// MaxAttempts bounds the supervised retries (0 = runtime default).
+	// MaxAttempts bounds the supervised retries (0 = runtime default; at
+	// most MaxJobAttempts).
 	MaxAttempts int `json:"maxAttempts,omitempty"`
-	// Engine selects the separator backend for the whole-instance cycle
-	// separator (internal/sepengine registry); empty runs the default
-	// Theorem 1 engine. Non-default engines key the decomposition cache as
+	// Engine selects the separator backend (internal/sepengine registry)
+	// for the whole-instance cycle separator and the per-component
+	// separators of the DFS build; empty runs the default Theorem 1
+	// engine. Non-default engines key the decomposition cache as
 	// hash:engine, so per-engine results never alias the default's.
 	Engine string `json:"engine,omitempty"`
 }
+
+// Admission caps on a job's chaos knobs: fault injection loops or
+// allocates once per counted fault and every attempt re-runs the build, so
+// unbounded values would let one request hold a worker indefinitely.
+const (
+	MaxChaosFaults = 1024
+	MaxJobAttempts = 16
+)
 
 // validate rejects malformed requests before they consume a queue slot.
 func (r *JobRequest) validate(maxN int) error {
@@ -81,9 +93,16 @@ func (r *JobRequest) validate(maxN int) error {
 		}
 	}
 	if r.ChaosSpec != "" {
-		if _, err := chaos.ParseSpec(r.ChaosSpec); err != nil {
+		s, err := chaos.ParseSpec(r.ChaosSpec)
+		if err != nil {
 			return err
 		}
+		if max(s.Drops, s.Corruptions, s.LinkDowns, s.Crashes, s.Stalls, s.Structural) > MaxChaosFaults {
+			return fmt.Errorf("chaosSpec %q has a fault count above the server limit %d", r.ChaosSpec, MaxChaosFaults)
+		}
+	}
+	if r.MaxAttempts < 0 || r.MaxAttempts > MaxJobAttempts {
+		return fmt.Errorf("maxAttempts = %d is outside [0, %d]", r.MaxAttempts, MaxJobAttempts)
 	}
 	if _, err := sepengine.Get(r.Engine); err != nil {
 		return err
@@ -277,11 +296,10 @@ func (s *Server) runJob(j *job) {
 
 	buildStart := nowNanos()
 	d, cached, err := s.store.do(ctx, hash, func() (*Decomp, error) {
-		d, err := buildDecomp(ctx, in, pipelineRequest{
-			plan:        plan,
-			maxAttempts: j.req.MaxAttempts,
-			tracer:      j.rec,
-			engine:      j.req.Engine,
+		d, err := buildDecomp(ctx, in, pipeline.Options{
+			Engine: j.req.Engine,
+			Plan:   plan,
+			Policy: chaos.Policy{MaxAttempts: j.req.MaxAttempts, Tracer: j.rec},
 		})
 		if err != nil {
 			return nil, err

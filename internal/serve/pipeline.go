@@ -6,14 +6,11 @@ import (
 
 	"planardfs/internal/cert"
 	"planardfs/internal/chaos"
-	"planardfs/internal/dfs"
-	"planardfs/internal/dist"
 	"planardfs/internal/gen"
+	"planardfs/internal/pipeline"
 	"planardfs/internal/separator"
 	"planardfs/internal/sepengine"
-	"planardfs/internal/shortcut"
 	"planardfs/internal/spanning"
-	"planardfs/internal/trace"
 	"planardfs/internal/weights"
 )
 
@@ -72,74 +69,34 @@ type VerdictSummary struct {
 	VerifierRounds int    `json:"verifierRounds"`
 }
 
-// pipelineRequest carries the per-job knobs into the build.
-type pipelineRequest struct {
-	// plan optionally injects structural faults into the DFS stage (the
-	// chaos pipeline); nil builds fault-free.
-	plan *chaos.Plan
-	// maxAttempts bounds the supervised retries; 0 uses the chaos default.
-	maxAttempts int
-	// tracer receives the job's spans and metrics; nil disables.
-	tracer trace.Tracer
-	// engine selects the separator backend; empty runs the default.
-	engine string
-}
-
-// buildDecomp runs the full decomposition pipeline over in: BFS spanning
-// tree, supervised Theorem 2 DFS (with Awerbuch degradation under faults),
-// cycle separator with side assignment, and the three certification
-// schemes. ctx cancellation aborts between stages and stops supervised
-// retries mid-flight.
-func buildDecomp(ctx context.Context, in *gen.Instance, pr pipelineRequest) (*Decomp, error) {
+// buildDecomp runs the full decomposition pipeline over in: the shared
+// Theorem 2 pipeline (BFS spanning tree, supervised DFS with Awerbuch
+// degradation under faults, see internal/pipeline), then the tail only
+// serve caches — the whole-instance cycle separator with side assignment
+// and the three certification schemes. ctx cancellation stops supervised
+// retries mid-flight and aborts between the tail's stages. The build roots
+// both trees at the first vertex of the outer face, overriding opt.Root;
+// opt.Engine also selects the whole-instance separator.
+func buildDecomp(ctx context.Context, in *gen.Instance, opt pipeline.Options) (*Decomp, error) {
 	g := in.G
-	n := g.N()
 	fs := in.Emb.TraceFaces()
 	root := fs.FaceVertices(in.OuterFace())[0]
-
-	bfs, err := spanning.BFSTree(g, root)
-	if err != nil {
-		return nil, fmt.Errorf("serve: BFS tree: %w", err)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	// Supervised DFS: the primary stage is the separator pipeline whose
-	// output the plan's structural faults may corrupt; certification
-	// rejects corrupted attempts, and the runtime degrades to Awerbuch's
-	// message-level DFS when the primary exhausts its budget.
-	opt := cert.Options{Tracer: pr.tracer}
-	var structural chaos.Counts
-	var dfsRounds int
-	primary := chaos.Stage[[]int]{
-		Name:          "separator-pipeline",
-		DefaultBudget: 10*n + 100,
-		Run: func(attempt, budget int) ([]int, int, error) {
-			if err := ctx.Err(); err != nil {
-				return nil, 0, err
-			}
-			pt, dtr, err := dfs.BuildTraced(g, in.Emb, in.OuterDart, root, pr.tracer)
-			if err != nil {
-				return nil, 0, err
-			}
-			parent := append([]int(nil), pt.Parent...)
-			structural.Structural += int64(pr.plan.CorruptParents(attempt, root, parent))
-			cm := shortcut.PaperCost{D: bfs.MaxDepth(), N: n}
-			rounds := dist.DFSBuildOps(n, dtr.Phases, dtr.MaxJoinSubPhases).Rounds(cm, 1)
-			dfsRounds = rounds
-			return parent, rounds, nil
-		},
-		Certify: chaos.DFSCertifier(g, root, opt),
-		Faults:  func() chaos.Counts { return structural },
-	}
-	fallback := chaos.AwerbuchDFS(g, root, pr.plan, opt)
-	pol := chaos.Policy{MaxAttempts: pr.maxAttempts, Tracer: pr.tracer}
-	parent, rep, err := chaos.RunWithRecoveryContext(ctx, primary, &fallback, pol)
+	opt.Root = root
+	run, err := pipeline.Run(ctx, in, opt)
 	if err != nil {
 		return nil, fmt.Errorf("serve: DFS stage: %w", err)
 	}
+	rep := run.Report
 	if rep.Outcome == chaos.OutcomeFailed {
 		return nil, fmt.Errorf("serve: DFS stage failed after %d attempts", len(rep.Attempts))
+	}
+	bfs, parent := run.BFS, run.Parent
+	// The build is charged at the rounds of its last Theorem 2 attempt.
+	dfsRounds := 0
+	for _, a := range rep.Attempts {
+		if a.Stage == pipeline.StageName {
+			dfsRounds = a.Rounds
+		}
 	}
 	dfsTree, err := spanning.NewFromParents(root, parent)
 	if err != nil {
@@ -152,11 +109,12 @@ func buildDecomp(ctx context.Context, in *gen.Instance, pr pipelineRequest) (*De
 	// Cycle separator of the whole instance plus the greedy 2-coloring,
 	// produced by the requested engine (validated plus side-checked inside
 	// the registry).
-	cfg, err := weightsConfig(in, bfs)
+	cfg, err := weights.NewConfig(g, in.Emb, in.OuterDart, bfs)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("serve: configuration: %w", err)
 	}
-	res, err := sepengine.Find(pr.engine, cfg, sepengine.Options{Tracer: pr.tracer})
+	tracer := opt.Policy.Tracer
+	res, err := sepengine.Find(opt.Engine, cfg, sepengine.Options{Tracer: tracer})
 	if err != nil {
 		return nil, fmt.Errorf("serve: separator: %w", err)
 	}
@@ -165,16 +123,15 @@ func buildDecomp(ctx context.Context, in *gen.Instance, pr pipelineRequest) (*De
 		return nil, err
 	}
 
-	// Certify everything the cache will answer queries from.
-	vSpan, err := cert.CertifySpanningTree(g, bfs, opt)
+	// Certify everything the cache will answer queries from. The DFS tree
+	// already carries the supervisor's accepted verdict, its last one.
+	copt := cert.Options{Tracer: tracer}
+	vSpan, err := cert.CertifySpanningTree(g, bfs, copt)
 	if err != nil {
 		return nil, fmt.Errorf("serve: certify spanning: %w", err)
 	}
-	vDFS, err := cert.CertifyDFSTree(g, root, parent, opt)
-	if err != nil {
-		return nil, fmt.Errorf("serve: certify dfs: %w", err)
-	}
-	vSep, err := cert.CertifySeparator(g, sep, opt)
+	vDFS := rep.Verdicts[len(rep.Verdicts)-1]
+	vSep, err := cert.CertifySeparator(g, sep, copt)
 	if err != nil {
 		return nil, fmt.Errorf("serve: certify separator: %w", err)
 	}
@@ -201,16 +158,6 @@ func buildDecomp(ctx context.Context, in *gen.Instance, pr pipelineRequest) (*De
 	}
 	d.bytes = estimateBytes(d)
 	return d, nil
-}
-
-// weightsConfig wraps the planar-configuration constructor with a serve
-// error prefix.
-func weightsConfig(in *gen.Instance, tr *spanning.Tree) (*weights.Config, error) {
-	cfg, err := weights.NewConfig(in.G, in.Emb, in.OuterDart, tr)
-	if err != nil {
-		return nil, fmt.Errorf("serve: configuration: %w", err)
-	}
-	return cfg, nil
 }
 
 // summarize projects a verdict into its JSON-stable summary.

@@ -283,6 +283,43 @@ func TestJobValidation(t *testing.T) {
 	}
 }
 
+// TestJobChaosCaps pins the admission caps on the chaos knobs: an
+// oversized fault count or an out-of-range maxAttempts is a 400 and
+// creates no job, while a request exactly at the caps is admitted.
+func TestJobChaosCaps(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 1, MaxN: 1000})
+	var bodies []string
+	for _, key := range []string{"drops", "corruptions", "linkdowns", "crashes", "stalls", "structural"} {
+		bodies = append(bodies, fmt.Sprintf(`{"family":"grid","n":64,"chaosSpec":"%s=%d"}`, key, MaxChaosFaults+1))
+	}
+	bodies = append(bodies,
+		`{"family":"grid","n":64,"chaosSpec":"structural=1000000000000"}`,
+		fmt.Sprintf(`{"family":"grid","n":64,"maxAttempts":%d}`, MaxJobAttempts+1),
+		`{"family":"grid","n":64,"maxAttempts":-1}`,
+	)
+	for _, body := range bodies {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("body %s: status %d, want 400", body, resp.StatusCode)
+		}
+	}
+	s.jobsMu.Lock()
+	created := len(s.jobs)
+	s.jobsMu.Unlock()
+	if created != 0 {
+		t.Fatalf("%d jobs created by rejected requests", created)
+	}
+
+	at := fmt.Sprintf(`{"family":"grid","n":16,"chaosSpec":"structural=%d","maxAttempts":%d}`, MaxChaosFaults, MaxJobAttempts)
+	if st := awaitJob(t, ts.URL, postJob(t, ts.URL, at).ID); st.State != StateDone {
+		t.Fatalf("job at the caps: %+v", st)
+	}
+}
+
 // TestJobEngineSelection submits the same instance under the default and a
 // non-default separator engine: the two jobs must not share a cache entry
 // (the non-default key carries the engine suffix), and the graph summary

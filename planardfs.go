@@ -40,6 +40,7 @@ import (
 	"planardfs/internal/gen"
 	"planardfs/internal/graph"
 	"planardfs/internal/guard"
+	"planardfs/internal/pipeline"
 	"planardfs/internal/planar"
 	"planardfs/internal/separator"
 	"planardfs/internal/sepengine"
@@ -272,35 +273,6 @@ func BuildDFSTreeTraced(in *Instance, root int, tracer Tracer) (*DFSTree, *DFSTr
 	return dfs.BuildTraced(in.G, in.Emb, in.OuterDart, root, tracer)
 }
 
-// BuildDFSTreeWithEngine is BuildDFSTreeTraced with the per-component
-// separator computation run by the named engine (empty name selects the
-// default). A soft engine failure (ErrNoSeparator) on a component falls
-// back to the Theorem 1 engine for that component — the build stays total —
-// and the returned trace counts the fallbacks in EngineFallbacks.
-func BuildDFSTreeWithEngine(in *Instance, root int, engine string, tracer Tracer) (*DFSTree, *DFSTrace, error) {
-	eng, err := sepengine.Get(engine)
-	if err != nil {
-		return nil, nil, err
-	}
-	fallbacks := 0
-	find := func(cfg *Config) (*Separator, error) {
-		res, ferr := eng.FindCycleSeparator(cfg, SeparatorEngineOptions{Tracer: tracer})
-		if ferr == nil {
-			return res.Sep, nil
-		}
-		if !errors.Is(ferr, ErrNoSeparator) {
-			return nil, ferr
-		}
-		fallbacks++
-		return separator.Find(cfg)
-	}
-	pt, tr, err := dfs.BuildWithSeparator(in.G, in.Emb, in.OuterDart, root, tracer, find)
-	if tr != nil {
-		tr.EngineFallbacks = fallbacks
-	}
-	return pt, tr, err
-}
-
 // VerifyDFSTree checks the DFS property: parent must describe a spanning
 // tree of g rooted at root in which every graph edge connects an
 // ancestor-descendant pair.
@@ -431,64 +403,6 @@ func NewFaultPlan(seed int64, spec FaultSpec) *FaultPlan {
 // "drops=2,corruptions=1,crashes=1,structural=4".
 func ParseFaultSpec(s string) (FaultSpec, error) { return chaos.ParseSpec(s) }
 
-// BuildDFSTreeWithRecovery constructs a DFS tree of the instance under the
-// supervised recovery runtime of internal/chaos. The primary stage is the
-// Theorem 2 separator pipeline, whose simulated output is perturbed by the
-// plan's structural faults (decaying across attempts) and certified by the
-// DFS proof-labeling scheme; if every primary attempt is rejected, the
-// runtime degrades to Awerbuch's message-level token DFS under the plan's
-// message-level faults. The returned parent array is valid only when the
-// report's Outcome is not RecoveryFailed. A nil plan supervises a
-// fault-free run.
-func BuildDFSTreeWithRecovery(in *Instance, root int, plan *FaultPlan, pol RecoveryPolicy) ([]int, *RecoveryReport, error) {
-	return BuildDFSTreeWithRecoveryContext(context.Background(), in, root, plan, pol)
-}
-
-// BuildDFSTreeWithRecoveryContext is BuildDFSTreeWithRecovery under a
-// cancellation context: cancelling ctx stops the supervised retry loop
-// mid-flight (the terminal outcome is an error wrapping ctx.Err(), never a
-// partial result). This is the form the serve layer's job cancellation and
-// graceful shutdown run through.
-func BuildDFSTreeWithRecoveryContext(ctx context.Context, in *Instance, root int, plan *FaultPlan, pol RecoveryPolicy) ([]int, *RecoveryReport, error) {
-	primary, fallback := dfsRecoveryStages(in, root, plan, pol)
-	return chaos.RunWithRecoveryContext(ctx, primary, &fallback, pol)
-}
-
-// dfsRecoveryStages builds the supervised stage pair of the DFS recovery
-// runtime: the charged Theorem 2 pipeline as primary, Awerbuch's
-// message-level token DFS as fallback.
-func dfsRecoveryStages(in *Instance, root int, plan *FaultPlan, pol RecoveryPolicy) (chaos.Stage[[]int], chaos.Stage[[]int]) {
-	g := in.G
-	opt := CertOptions{Tracer: pol.Tracer}
-	var structural chaos.Counts
-	primary := chaos.Stage[[]int]{
-		Name:          "separator-pipeline",
-		DefaultBudget: 10*g.N() + 100,
-		// The pipeline is a simulated (charged) stage: it reports the
-		// paper-model round cost but is not bound by the attempt budget —
-		// its retries are driven by certification rejections of the
-		// structurally faulted output, which decay across attempts.
-		Run: func(attempt, budget int) ([]int, int, error) {
-			pt, dtr, err := dfs.Build(g, in.Emb, in.OuterDart, root)
-			if err != nil {
-				return nil, 0, err
-			}
-			parent := append([]int(nil), pt.Parent...)
-			structural.Structural += int64(plan.CorruptParents(attempt, root, parent))
-			bt, err := spanning.BFSTree(g, root)
-			if err != nil {
-				return nil, 0, err
-			}
-			rounds := DFSRounds(g.N(), dtr, PaperCost{D: bt.MaxDepth(), N: g.N()})
-			return parent, rounds, nil
-		},
-		Certify: chaos.DFSCertifier(g, root, opt),
-		Faults:  func() chaos.Counts { return structural },
-	}
-	fallback := chaos.AwerbuchDFS(g, root, plan, opt)
-	return primary, fallback
-}
-
 // Input validation (internal/guard): the admission subsystem that runs
 // before the Theorem 2 pipeline and rejects non-planar and
 // corrupted-embedding inputs with typed, certifiable verdicts — a
@@ -533,20 +447,19 @@ func ValidatePlanarity(g *Graph, opt GuardOptions) (*GuardVerdict, error) {
 	return guard.ValidateGraph(g, opt)
 }
 
-// BuildDFSTreeGuarded is BuildDFSTreeWithRecoveryContext with the guard
-// run at admission: the instance is validated before any pipeline attempt,
-// and a rejection ends the run with RecoveryRejectedInput (the report
-// carries the typed rejection; no producer ever sees the bad input).
+// BuildDFSTreeGuarded constructs a DFS tree of the instance (Theorem 2)
+// through internal/pipeline: the guard validates the instance first (a
+// rejection ends the run as RecoveryRejectedInput, carrying the typed
+// rejection, before any producer runs), then one BFS tree, then the
+// separator pipeline under the plan's structural faults, certified by the
+// DFS proof-labeling scheme, retried, and degraded to Awerbuch's token DFS
+// when every attempt is rejected. The parent array is valid only when the
+// Outcome is certified, certified-after-retry or degraded; a nil plan runs
+// fault-free, and cancelling ctx stops retries with an error wrapping
+// ctx.Err().
 func BuildDFSTreeGuarded(ctx context.Context, in *Instance, root int, gopt GuardOptions, plan *FaultPlan, pol RecoveryPolicy) ([]int, *RecoveryReport, error) {
-	primary, fallback := dfsRecoveryStages(in, root, plan, pol)
-	admit := func(context.Context) (error, error) {
-		v, err := guard.ValidateInstance(in, gopt)
-		if err != nil {
-			return nil, err
-		}
-		return v.Err(), nil
-	}
-	return chaos.RunWithRecoveryGuarded(ctx, admit, primary, &fallback, pol)
+	res, err := pipeline.Run(ctx, in, pipeline.Options{Root: root, Guard: &gopt, Plan: plan, Policy: pol})
+	return res.Parent, res.Report, err
 }
 
 // Simulation-as-a-service (internal/serve): an embeddable HTTP job server

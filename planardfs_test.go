@@ -1,6 +1,7 @@
 package planardfs
 
 import (
+	"context"
 	"testing"
 )
 
@@ -182,7 +183,7 @@ func TestPublicRecoveryFlow(t *testing.T) {
 	root := OuterRoot(in)
 
 	// Fault-free supervision: one attempt, certified.
-	parent, rep, err := BuildDFSTreeWithRecovery(in, root, nil, RecoveryPolicy{})
+	parent, rep, err := BuildDFSTreeGuarded(context.Background(), in, root, GuardOptions{}, nil, RecoveryPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +203,7 @@ func TestPublicRecoveryFlow(t *testing.T) {
 	}
 	plan := NewFaultPlan(11, spec)
 	rec := NewTraceRecorder()
-	parent, rep, err = BuildDFSTreeWithRecovery(in, root, plan, RecoveryPolicy{Tracer: rec})
+	parent, rep, err = BuildDFSTreeGuarded(context.Background(), in, root, GuardOptions{}, plan, RecoveryPolicy{Tracer: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
