@@ -91,12 +91,34 @@ func TestChaosFlagDeterminism(t *testing.T) {
 		}
 		return string(out)
 	}
-	seq := run("-seq")
-	par := run("-workers", "3")
-	if seq != par {
-		t.Fatalf("same plan diverged across engines:\n--- seq ---\n%s--- workers ---\n%s", seq, par)
+	first := run()
+	if again := run(); again != first {
+		t.Fatalf("same plan diverged across runs:\n--- first ---\n%s--- second ---\n%s", first, again)
 	}
-	if !strings.Contains(seq, "chaos: fired") {
-		t.Fatalf("injected run did not report fired faults:\n%s", seq)
+	if !strings.Contains(first, "chaos: fired") {
+		t.Fatalf("injected run did not report fired faults:\n%s", first)
+	}
+}
+
+// TestPartsRejected: a part count below 1 is a usage error for every
+// program, not a divide-by-zero panic or a silently different partition.
+func TestPartsRejected(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the binary")
+	}
+	bin := buildCLI(t, "planardfs/cmd/congestsim")
+	for _, args := range [][]string{
+		{"-program", "pa", "-parts", "0"},
+		{"-program", "pa", "-parts", "-3"},
+		{"-program", "boruvka", "-parts", "0"},
+		{"-program", "boruvka", "-parts", "-3"},
+	} {
+		out, err := exec.Command(bin, append(args, "-n", "36")...).CombinedOutput()
+		if err == nil {
+			t.Fatalf("%v exited zero:\n%s", args, out)
+		}
+		if !strings.Contains(string(out), "-parts must be at least 1") || strings.Contains(string(out), "panic") {
+			t.Fatalf("%v: want a usage error, got:\n%s", args, out)
+		}
 	}
 }

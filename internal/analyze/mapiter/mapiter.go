@@ -4,7 +4,7 @@
 // Go randomizes map iteration order on purpose. In most code that is a
 // hygiene feature; in this repo it is a correctness hazard: the engine
 // contracts promise byte-identical inbox orderings, trace streams and
-// certification verdicts across runs and across engines, and a single
+// certification verdicts across runs and against the reference, and a single
 // `for k := range m` whose order reaches a message schedule, a statistic
 // or an exported trace breaks all three silently. The analyzer therefore
 // rejects every map range statement in the deterministic package list

@@ -71,16 +71,8 @@ type Verdict struct {
 	Stats congest.Stats
 }
 
-// Options configure a certification run. The zero value runs the parallel
-// engine untraced.
+// Options configure a certification run. The zero value runs untraced.
 type Options struct {
-	// Sequential selects the sequential round engine; results are
-	// bit-identical either way (the engine-equivalence contract of the
-	// simulator extends to certification verdicts).
-	Sequential bool
-	// Workers overrides the sharded engine's worker count; 0 means one per
-	// CPU.
-	Workers int
 	// Tracer records cert-layer spans (prove/verify/aggregate) and the
 	// underlying network rounds; nil disables tracing.
 	Tracer trace.Tracer
@@ -93,8 +85,6 @@ func (o Options) network(g *graph.Graph, maxWords int) *congest.Network {
 	if maxWords > nw.MaxWords {
 		nw.MaxWords = maxWords
 	}
-	nw.Parallel = !o.Sequential
-	nw.Workers = o.Workers
 	nw.Tracer = o.Tracer
 	return nw
 }
@@ -124,11 +114,6 @@ type certNode struct {
 	judged bool
 }
 
-// CongestEventDriven marks the program as purely message-driven: the
-// round-0 broadcast is the only spontaneous act (degree-0 vertices judge
-// immediately instead), and judging is triggered by the arriving labels.
-func (cn *certNode) CongestEventDriven() {}
-
 // Round implements congest.Node.
 func (cn *certNode) Round(round int, recv []congest.Incoming) ([]congest.Outgoing, bool) {
 	if round == 0 && cn.deg > 0 {
@@ -156,32 +141,37 @@ func (cn *certNode) Round(round int, recv []congest.Incoming) ([]congest.Outgoin
 // runExchange executes the two-round label exchange and returns the
 // per-vertex accept bits (1 accept, 0 reject).
 func runExchange(g *graph.Graph, labels [][]int, words int, judge func(v int, got [][]int) bool, opt Options) (accepts []int, rounds int, stats congest.Stats, err error) {
-	n := g.N()
 	nw := opt.network(g, words+1)
-	nodes := make([]congest.Node, n)
-	cns := make([]*certNode, n)
-	for v := 0; v < n; v++ {
+	nodes := exchangeNodes(g, labels, judge)
+	rounds, err = nw.Run(nodes, exchangeRounds)
+	if err != nil {
+		return nil, 0, congest.Stats{}, err
+	}
+	accepts = make([]int, len(nodes))
+	for v, nd := range nodes {
+		if nd.(*certNode).accept {
+			accepts[v] = 1
+		}
+	}
+	return accepts, rounds, nw.Stats(), nil
+}
+
+// exchangeRounds is the round budget of the label exchange.
+const exchangeRounds = 8
+
+// exchangeNodes builds the verifier programs of the label exchange.
+func exchangeNodes(g *graph.Graph, labels [][]int, judge func(v int, got [][]int) bool) []congest.Node {
+	nodes := make([]congest.Node, g.N())
+	for v := range nodes {
 		v := v
-		cn := &certNode{
+		nodes[v] = &certNode{
 			deg:   g.Degree(v),
 			label: labels[v],
 			got:   make([][]int, g.Degree(v)),
 			judge: func(got [][]int) bool { return judge(v, got) },
 		}
-		cns[v] = cn
-		nodes[v] = cn
 	}
-	rounds, err = nw.Run(nodes, 8)
-	if err != nil {
-		return nil, 0, congest.Stats{}, err
-	}
-	accepts = make([]int, n)
-	for v, cn := range cns {
-		if cn.accept {
-			accepts[v] = 1
-		}
-	}
-	return accepts, rounds, nw.Stats(), nil
+	return nodes
 }
 
 // aggregate runs one single-part part-wise aggregation of value under op on

@@ -5,6 +5,9 @@ import (
 	"testing"
 
 	"planardfs/internal/cert"
+	"planardfs/internal/chaos"
+	"planardfs/internal/congest"
+	"planardfs/internal/congest/congesttest"
 	"planardfs/internal/gen"
 	"planardfs/internal/separator"
 	"planardfs/internal/spanning"
@@ -109,17 +112,19 @@ func TestCertifyAllFamilies(t *testing.T) {
 	}
 }
 
-// TestEngineEquivalence asserts the PR2 contract extends to certification:
-// verdicts (including network stats) are identical under the sequential
-// engine and the sharded engine at any worker count — on accepting runs and
-// on rejecting ones.
+// TestEngineEquivalence extends the engine-identity contract to the
+// verifier program: the separator scheme's label exchange runs identically
+// under the engine and the step-all reference — judged and accept bits,
+// rounds, stats and traces — on accepting and rejecting labels, with and
+// without a chaos injector.
 func TestEngineEquivalence(t *testing.T) {
 	for _, fam := range []string{"grid", "stacked", "tree"} {
 		fam := fam
 		t.Run(fam, func(t *testing.T) {
 			in := instance(t, fam, 30)
+			g := in.G
 			sep := findSeparator(t, in)
-			labels, err := cert.ProveSeparator(in.G, sep)
+			labels, err := cert.ProveSeparator(g, sep)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -129,18 +134,41 @@ func TestEngineEquivalence(t *testing.T) {
 				bad[v] = append([]int(nil), labels[v]...)
 			}
 			bad[len(bad)-1][0]++ // corrupt one root-id field
+			plan := chaos.NewPlan(3, chaos.Spec{Drops: 8, Corruptions: 8, Stalls: 8, Crashes: 2, Horizon: 2})
 			for _, lbs := range [][][]int{labels, bad} {
-				base, err := cert.VerifySeparator(in.G, lbs, cert.Options{Sequential: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, opt := range []cert.Options{{}, {Workers: 1}, {Workers: 3}} {
-					got, err := cert.VerifySeparator(in.G, lbs, opt)
+				for _, p := range []*chaos.Plan{nil, plan} {
+					setup := func(nw *congest.Network) func() any {
+						nw.MaxWords = len(lbs[0]) + 1
+						if inj := p.Arm(nw, 1); inj != nil {
+							return func() any { return inj.Counts() }
+						}
+						return nil
+					}
+					build := func(*congest.Network) []congest.Node { return cert.SeparatorExchangeNodes(g, lbs) }
+					eng, ref := congesttest.Compare(t, g, setup, build, cert.ExchangeRounds)
+					ej, ea := cert.ExchangeVerdicts(eng.Nodes)
+					rj, ra := cert.ExchangeVerdicts(ref.Nodes)
+					if !reflect.DeepEqual(ej, rj) || !reflect.DeepEqual(ea, ra) {
+						t.Fatalf("verdict bits diverge from the reference (faults %v)", eng.Faults)
+					}
+					if p != nil {
+						if eng.Faults == nil || eng.Faults.(chaos.Counts).Total() == 0 {
+							t.Fatal("no fault fired; the injected case tests nothing")
+						}
+						continue
+					}
+					v, err := cert.VerifySeparator(g, lbs, cert.Options{})
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !reflect.DeepEqual(base, got) {
-						t.Fatalf("engine mismatch (opt %+v):\nseq: %+v\ngot: %+v", opt, base, got)
+					var rejectors []int
+					for u, ok := range ea {
+						if !ok {
+							rejectors = append(rejectors, u)
+						}
+					}
+					if !reflect.DeepEqual(v.Rejectors, rejectors) || v.VerifierRounds != eng.Rounds || !reflect.DeepEqual(v.Stats, eng.Stats) {
+						t.Fatalf("VerifySeparator disagrees with its exchange run: %+v", v)
 					}
 				}
 			}

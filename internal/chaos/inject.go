@@ -6,17 +6,17 @@ import (
 )
 
 // Injector is a fault plan compiled against one graph for one attempt. It
-// implements congest.Injector: the engines consult it per vertex in the
-// step phase (crash-stop) and per in-flight message in the delivery phase
-// (link-down, drop, corrupt, stall).
+// implements congest.Injector: the engine consults it when a vertex steps
+// (crash-stop), per sent message on delivery (link-down, drop, corrupt,
+// stall) and per stepped vertex after delivery (stall release), and asks
+// it when each vertex must next step (WakeAt).
 //
 // All decision tables are built by compile before the run starts; the only
-// state mutated during a run is owned per-receiver (stall buffers, release
-// queues, fired-fault counters), which matches the engine's concurrency
-// contract — both engines invoke the delivery hooks for receiver dst only
-// from the worker owning dst — so sequential and sharded runs take
-// byte-identical decisions. An Injector is single-run: arm a fresh one per
-// attempt.
+// state mutated during a run is owned per receiver (stall buffers, release
+// queues, fired-fault counters) or per directed edge (fault scratch
+// buffers), which is what the engine's contract allows: decisions do not
+// depend on how calls for different receivers interleave. An Injector is
+// single-run: arm a fresh one per attempt.
 type Injector struct {
 	g *graph.Graph
 
@@ -32,7 +32,7 @@ type Injector struct {
 	// round, at most one per round.
 	events [][]event
 
-	// Per-receiver mutable state, touched only by the receiver's worker.
+	// Per-receiver mutable state.
 	stalled [][]stalledMsg
 	pending []int32
 	cnt     []Counts
@@ -66,7 +66,7 @@ func (in *Injector) Crashed(round, v int) bool {
 		return false
 	}
 	if int32(round) == at {
-		in.cnt[v].Crashes++ // step phase: v's worker owns cnt[v]
+		in.cnt[v].Crashes++
 	}
 	return true
 }
@@ -146,6 +146,23 @@ func (in *Injector) Released(round, dst int, inbox []congest.Incoming) []congest
 		in.pending[dst]--
 	}
 	return inbox
+}
+
+// WakeAt implements congest.Injector: v must step at its crash round and
+// at the release round of every message stalled toward it.
+func (in *Injector) WakeAt(round, v int) int {
+	next := -1
+	if at := int(in.crashAt[v]); at > round && at != never {
+		next = at
+	}
+	if in.pending[v] > 0 {
+		for _, s := range in.stalled[v] {
+			if r := int(s.release); !s.done && r > round && (next < 0 || r < next) {
+				next = r
+			}
+		}
+	}
+	return next
 }
 
 // Pending implements congest.Injector: the network must not terminate

@@ -76,10 +76,6 @@ type reportNode struct {
 	Report  ReportPayload
 }
 
-// CongestEventDriven marks the program as purely message-driven (the
-// flood is triggered by round 0 at the root and by receipt elsewhere).
-func (rn *reportNode) CongestEventDriven() {}
-
 // Round implements congest.Node.
 func (rn *reportNode) Round(round int, recv []congest.Incoming) ([]congest.Outgoing, bool) {
 	for _, in := range recv {
@@ -118,7 +114,8 @@ func (rn *reportNode) Round(round int, recv []congest.Incoming) ([]congest.Outgo
 // check every node learned the outcome. The flood takes O(diameter)
 // rounds with one reportWords+1-word message per edge direction.
 func BroadcastReport(g *graph.Graph, root int, rep *Report, opt cert.Options) ([]ReportPayload, error) {
-	nw := stageNetwork(g, opt)
+	nw := congest.New(g)
+	nw.Tracer = opt.Tracer
 	if nw.MaxWords < reportWords+1 {
 		nw.MaxWords = reportWords + 1
 	}

@@ -26,7 +26,6 @@ type delivery struct {
 }
 
 // observer records every delivery position without perturbing the run.
-// Sequential engine only: it appends to one shared slice.
 type observer struct {
 	g          *graph.Graph
 	deliveries []delivery
@@ -44,13 +43,14 @@ func (o *observer) Released(round, dst int, inbox []congest.Incoming) []congest.
 	return inbox
 }
 
+func (o *observer) WakeAt(round, v int) int { return -1 }
+
 func (o *observer) Pending() bool { return false }
 
 // observeBFS enumerates the delivery positions of a fault-free BFS run.
 func observeBFS(t *testing.T, g *graph.Graph, root int) []delivery {
 	t.Helper()
 	nw := congest.New(g)
-	nw.Parallel = false
 	obs := &observer{g: g}
 	nw.Injector = obs
 	if _, err := nw.Run(congest.NewBFSNodes(nw, root), 10*g.N()+20); err != nil {
@@ -94,7 +94,7 @@ func TestBFSEverySingleFaultIsSoundOnGrids(t *testing.T) {
 				if inj.Counts().Total() == 0 {
 					t.Fatalf("n=%d fault %+v missed its observed delivery", n, f)
 				}
-				v, err := cert.CertifyBFSTree(g, 0, out.Parent, out.Dist, cert.Options{Sequential: true})
+				v, err := cert.CertifyBFSTree(g, 0, out.Parent, out.Dist, cert.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -138,7 +138,7 @@ func TestPAEverySingleDropIsSound(t *testing.T) {
 		partOf[v] = v % 3
 		value[v] = v + 1
 	}
-	opt := cert.Options{Sequential: true}
+	opt := cert.Options{}
 
 	// Sanity: the fault-free stage run passes its own oracle.
 	obsStage := PartwiseSum(g, 0, partOf, value, nil, opt)
@@ -187,9 +187,8 @@ func TestPAEverySingleDropIsSound(t *testing.T) {
 // node programs) with an observing injector.
 func observePA(t *testing.T, g *graph.Graph, root int, partOf, value []int) []delivery {
 	t.Helper()
-	st := PartwiseSum(g, root, partOf, value, nil, cert.Options{Sequential: true})
+	st := PartwiseSum(g, root, partOf, value, nil, cert.Options{})
 	nw := congest.New(g)
-	nw.Parallel = false
 	obs := &observer{g: g}
 	nw.Injector = obs
 	tr, err := spanning.BFSTree(g, root)
@@ -228,7 +227,7 @@ func TestSeededPlansAlwaysClassify(t *testing.T) {
 			Horizon:     60, // dense: most plans hit live messages
 			Protect:     []int{0},
 		})
-		opt := cert.Options{Sequential: true, Tracer: rec}
+		opt := cert.Options{Tracer: rec}
 		primary := AwerbuchDFS(g, 0, plan, opt)
 		fallback := AwerbuchDFS(g, 0, nil, opt) // fault-free baseline
 		parent, rep, err := Run(context.Background(), nil, primary, &fallback, Policy{MaxAttempts: 3, Tracer: rec})

@@ -17,15 +17,6 @@ import (
 // fallback — is assembled once, in internal/pipeline, which owns the
 // planarity machinery.
 
-// network builds the stage network over g per the certification options.
-func stageNetwork(g *graph.Graph, opt cert.Options) *congest.Network {
-	nw := congest.New(g)
-	nw.Parallel = !opt.Sequential
-	nw.Workers = opt.Workers
-	nw.Tracer = opt.Tracer
-	return nw
-}
-
 // AwerbuchDFS is the token-DFS baseline as a supervised stage under the
 // plan's message-level faults, certified by the DFS proof-labeling scheme.
 // Its result is the claimed parent array.
@@ -35,7 +26,8 @@ func AwerbuchDFS(g *graph.Graph, root int, plan *Plan, opt cert.Options) Stage[[
 		Name:          "awerbuch",
 		DefaultBudget: 10*g.N() + 100,
 		Run: func(attempt, budget int) ([]int, int, error) {
-			nw := stageNetwork(g, opt)
+			nw := congest.New(g)
+			nw.Tracer = opt.Tracer
 			inj := plan.Arm(nw, attempt)
 			nodes := congest.NewAwerbuchNodes(nw, root)
 			rounds, err := nw.Run(nodes, budget)
@@ -91,7 +83,8 @@ func BFSTreeStage(g *graph.Graph, root int, plan *Plan, opt cert.Options) Stage[
 		Name:          "bfs",
 		DefaultBudget: 2*g.N() + 16,
 		Run: func(attempt, budget int) (BFSOutput, int, error) {
-			nw := stageNetwork(g, opt)
+			nw := congest.New(g)
+			nw.Tracer = opt.Tracer
 			inj := plan.Arm(nw, attempt)
 			nodes := congest.NewBFSNodes(nw, root)
 			rounds, err := nw.Run(nodes, budget)
@@ -139,7 +132,8 @@ func PartwiseSum(g *graph.Graph, root int, partOf, value []int, plan *Plan, opt 
 			if terr != nil {
 				return nil, 0, terr
 			}
-			nw := stageNetwork(g, opt)
+			nw := congest.New(g)
+			nw.Tracer = opt.Tracer
 			nw.MaxWords = 4
 			inj := plan.Arm(nw, attempt)
 			nodes := congest.NewPANodes(nw, t.Parent, root, partOf, value, congest.OpSum)

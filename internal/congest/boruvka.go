@@ -80,6 +80,25 @@ func (bn *BoruvkaNode) edgeKey(p int) int {
 	return a*bn.info.N + b
 }
 
+// WakeAt implements Waker. Each phase acts on its own at offsets 0 and 1
+// (announce the fragment, seed the first flood), n+2 and n+3 (bridge, seed
+// the second flood) and 2n+3 (adopt the merged fragment ID); every other
+// step is triggered by a flood message.
+func (bn *BoruvkaNode) WakeAt(round int) int {
+	if bn.fragDone {
+		return -1
+	}
+	n := bn.info.N
+	phaseLen := 2*n + 4
+	base := round - round%phaseLen
+	for _, off := range [...]int{1, n + 2, n + 3, 2*n + 3} {
+		if base+off > round {
+			return base + off
+		}
+	}
+	return base + phaseLen
+}
+
 // Round implements Node.
 func (bn *BoruvkaNode) Round(round int, recv []Incoming) ([]Outgoing, bool) {
 	n := bn.info.N

@@ -12,10 +12,17 @@ import (
 // can read the strings anyway).
 
 // misbehaveNode violates a chosen sending rule at a chosen round; before
-// that it sends nothing.
+// that it sends nothing. It is round-clocked: it wakes at that round.
 type misbehaveNode struct {
 	at   int
 	send func() []Outgoing
+}
+
+func (m *misbehaveNode) WakeAt(round int) int {
+	if round < m.at {
+		return m.at
+	}
+	return -1
 }
 
 func (m *misbehaveNode) Round(round int, recv []Incoming) ([]Outgoing, bool) {

@@ -1,25 +1,31 @@
 package congest
 
-// Fault injection hook. The round engines call an optional Injector at two
-// deterministic points — once per vertex in the step phase (crash-stop)
-// and once per in-flight message in the delivery phase (drop, corrupt,
-// stall) — so a seeded fault plan perturbs a run identically under the
-// sequential and sharded engines. internal/chaos provides the compiled
-// deterministic implementation; the hook itself is policy-free.
+// Fault injection hook. The engine calls an optional Injector at fixed
+// points — when a vertex steps (crash-stop), once per sent message on
+// delivery (drop, corrupt, stall) and once per stepped vertex after the
+// round's deliveries (stall release) — so a seeded fault plan perturbs a
+// run exactly as it would perturb a loop that steps every vertex every
+// round. internal/chaos provides the compiled deterministic
+// implementation; the hook itself is policy-free.
 //
-// Concurrency contract (what makes injected runs engine-identical):
+// Contract (what makes injected runs identical to the step-all reference):
 //
-//   - Crashed(r, v) is invoked during the step phase from the worker that
-//     owns vertex v; it must be a pure read of state compiled before Run.
-//   - Deliver and Released for receiver dst are invoked during the
-//     delivery phase only from the worker that owns dst, in the engine's
-//     fixed scan order (ascending sender for Deliver, then one Released
-//     call). Implementations may keep per-receiver and per-directed-edge
-//     mutable state, but must not share mutable state across receivers.
-//   - Pending is invoked from the coordinator between rounds, after the
-//     delivery barrier.
+//   - Crashed(r, v) is called whenever v steps: at round 0, on a message,
+//     on a wake-up. It must answer as if it were asked every round.
+//   - Deliver is called once per sent message. For a fixed receiver the
+//     calls come in ascending (sender, sender port) order; calls for
+//     different receivers interleave, so implementations may keep
+//     per-receiver and per-directed-edge mutable state but must not share
+//     mutable state across receivers.
+//   - Released(r, dst) is called after round r's Deliver calls for every
+//     vertex stepped in round r; WakeAt makes dst step in every round a
+//     stalled message toward it is due.
+//   - WakeAt(r, v) is called after every step of v and after every stall
+//     toward v.
+//   - Pending is called at the end of a round in which no message was
+//     delivered and every node is done.
 //
-// A nil Network.Injector skips every hook; the quiescent round stays
+// A nil Network.Injector skips every hook; the steady-state round stays
 // allocation-free either way.
 
 // DeliveryFate is an Injector's ruling on one in-flight message.
@@ -38,7 +44,7 @@ const (
 )
 
 // Injector intercepts a run at the engine's fault-injection points. See the
-// package comment above for the concurrency contract.
+// comment above for the contract.
 type Injector interface {
 	// Crashed reports whether vertex v is crash-stopped at round r. A
 	// crashed vertex does not step (its program is never called again),
@@ -56,6 +62,10 @@ type Injector interface {
 	// appended messages must own their Args (the original sender's buffers
 	// are long recycled).
 	Released(round, dst int, inbox []Incoming) []Incoming
+	// WakeAt returns the first round after round at which vertex v must
+	// step even with an empty inbox — its crash round, or the release
+	// round of a message stalled toward it — or -1 if there is none.
+	WakeAt(round, v int) int
 	// Pending reports whether the injector still withholds stalled
 	// messages; the network does not terminate while it returns true.
 	Pending() bool

@@ -2,10 +2,13 @@
 // nodes, one per graph vertex, exchanging O(log n)-bit messages over graph
 // edges in lockstep rounds.
 //
-// A simulation is deterministic: nodes step in a fixed logical order, and
-// the parallel engine (persistent worker goroutines over fixed vertex
-// shards with a barrier per phase) produces results bit-identical to the
-// sequential engine.
+// The engine runs one event-driven schedule. Round 0 steps every node;
+// after that a round steps only the nodes that received a message, sent
+// one in the previous round, or are due a wake-up: a round-clocked
+// program's own (Waker), or an Injector's crash or stall release. Under
+// the Node contract this is identical to stepping every node every round —
+// same rounds, Stats, outputs and traces — while a run costs
+// O(messages + wake-ups) node steps instead of O(n × rounds).
 //
 // Bandwidth is enforced: per round, at most one message may cross each edge
 // in each direction, and each message carries at most MaxWords words, a word
@@ -13,17 +16,14 @@
 // than silently under-counting rounds.
 //
 // The round loop is allocation-free in the steady state. All engine state —
-// the epoch-stamped port arrays, the receiver-driven delivery table, the
-// double-buffered inboxes, the per-worker stat shards — is allocated once
-// per Run; see DESIGN.md §8 for the internals.
+// the epoch-stamped port arrays, the routing table, the inboxes, the active
+// sets — is allocated once per Run; see DESIGN.md §8 for the internals.
 package congest
 
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
-	"sync"
 
 	"planardfs/internal/graph"
 	"planardfs/internal/trace"
@@ -51,12 +51,19 @@ type Outgoing struct {
 	Msg  Message
 }
 
-// Node is a per-vertex CONGEST program. Round is called once per round with
-// the messages delivered this round (sent by neighbours in the previous
-// round); it returns the messages to send and whether the node has halted.
-// A halted node's Round is still called (it may be woken by late messages);
-// the network stops when every node reports done in a round with no
-// messages in flight.
+// Node is a per-vertex CONGEST program. Round is called with the messages
+// delivered this round (sent by neighbours in the previous round); it
+// returns the messages to send and whether the node has halted. The
+// network stops when every node reports done in a round with no messages
+// delivered.
+//
+// The engine calls Round for every node at round 0, and after that only in
+// rounds where the node has messages to read, sent messages in the previous
+// round, or is due a wake-up. A program must behave as if it were called
+// every round: a call with an empty inbox in any other round must send
+// nothing and change neither its state nor its done report. The engine may
+// make such calls (an injector's wake-ups do), so they must be harmless.
+// A program that acts on the round number alone implements Waker.
 //
 // The recv slice is owned by the engine and recycled across rounds; a node
 // that retains messages beyond the current Round call must copy them.
@@ -64,20 +71,15 @@ type Node interface {
 	Round(round int, recv []Incoming) (send []Outgoing, done bool)
 }
 
-// EventDriven is an optional marker for Node programs that are purely
-// message-driven: after round 0, a step in which the node receives no
-// messages and emits none must leave its state (and its done report)
-// unchanged until the next message arrives. When every node of a run
-// implements the marker and no Injector is attached, the engine skips
-// quiescent nodes entirely, so the simulation costs O(messages + n)
-// instead of O(n × rounds) — the difference between hours and seconds for
-// deep convergecasts on million-vertex graphs. Round-scheduled programs
-// that act spontaneously at fixed round offsets (e.g. BoruvkaNode) must
-// not implement it.
-type EventDriven interface {
+// Waker is implemented by round-clocked programs, which act at fixed
+// rounds without a message to prompt them. After every call of
+// Round(round, …) the engine asks WakeAt(round) for the first later round
+// at which the node must be stepped even with an empty inbox; -1 means
+// none. A wake-up alone never keeps a run alive: the run still ends when
+// every node is done and no message was delivered.
+type Waker interface {
 	Node
-	// CongestEventDriven is a marker only; it is never called.
-	CongestEventDriven()
+	WakeAt(round int) int
 }
 
 // NodeInfo is the local knowledge every CONGEST node starts with: its own
@@ -109,36 +111,21 @@ type Network struct {
 	// MaxWords bounds the size of a single message in words
 	// (1 word = ceil(log2 n) bits). Default 4.
 	MaxWords int
-	// Parallel selects the sharded round engine (persistent workers, one
-	// vertex shard each, a barrier per phase).
-	Parallel bool
-	// Workers overrides the worker count of the sharded engine; 0 means
-	// runtime.NumCPU(). Results are identical for every worker count, so
-	// this is a performance/testing knob, not a semantic one.
-	Workers int
 	// Tracer receives per-round spans and message/congestion metrics; nil
-	// (or trace.Nop) disables instrumentation at zero cost. The tracer is
-	// only driven from the sequential merge section of the round loop,
-	// so traces are identical under both engines.
+	// (or trace.Nop) disables instrumentation at zero cost.
 	Tracer trace.Tracer
 	// Injector intercepts the run at the fault-injection points (crash
-	// checks in the step phase, per-message rulings in the delivery
-	// phase); nil disables injection with no hook overhead. See inject.go
-	// for the determinism/concurrency contract.
+	// checks when a node steps, per-message rulings on delivery); nil
+	// disables injection with no hook overhead. See inject.go for the
+	// contract.
 	Injector Injector
-	// StepAll forces the classic schedule that steps every node every
-	// round, even when all programs implement EventDriven. Results are
-	// bit-identical either way (the equivalence tests enforce this); the
-	// flag exists for those tests and as an escape hatch.
-	StepAll bool
 
 	stats Stats
 }
 
-// New returns a network over g with default settings (4-word messages,
-// parallel engine).
+// New returns a network over g with default settings (4-word messages).
 func New(g *graph.Graph) *Network {
-	return &Network{G: g, MaxWords: 4, Parallel: true}
+	return &Network{G: g, MaxWords: 4}
 }
 
 // Stats returns instrumentation from the last Run. The RoundMessages slice
@@ -164,9 +151,10 @@ var ErrRoundLimit = errors.New("congest: round limit exceeded")
 // round budget, before any node steps.
 var ErrInvalidRoundLimit = errors.New("congest: round limit must be positive")
 
-// Run executes the nodes until global termination (all nodes done and no
-// messages in flight) or until maxRounds rounds have elapsed. It returns
-// the number of rounds executed. maxRounds must be positive.
+// Run executes the nodes until global termination (all nodes done, no
+// message delivered in the last round and, under an injector, no stalled
+// message pending) or until maxRounds rounds have elapsed. It returns the
+// number of rounds executed. maxRounds must be positive.
 func (nw *Network) Run(nodes []Node, maxRounds int) (int, error) {
 	n := nw.G.N()
 	if len(nodes) != n {
@@ -176,46 +164,18 @@ func (nw *Network) Run(nodes []Node, maxRounds int) (int, error) {
 		return 0, fmt.Errorf("%w (got %d)", ErrInvalidRoundLimit, maxRounds)
 	}
 	nw.stats = Stats{}
-	e := newEngine(nw, nodes)
-	defer e.stop()
-	return e.run(maxRounds)
-}
-
-// Engine phases; each round is one step barrier followed by one delivery
-// barrier.
-const (
-	phaseStep = iota
-	phaseDeliver
-)
-
-// delivEntry describes one potential delivery into a receiver: the sender,
-// the sender-side port (whose epoch stamp says whether a message is pending
-// this round), and the receiving port. Entries are laid out per receiver in
-// ascending sender order, so receiver-driven delivery reproduces the
-// sender-major inbox ordering of the sequential scan byte for byte.
-type delivEntry struct {
-	src      int32
-	srcPort  int32
-	recvPort int32
-}
-
-// shardStats accumulates one worker's delivery statistics for one round;
-// shards are merged in worker-index order after the barrier, so totals are
-// deterministic. Padded to a cache line to avoid false sharing.
-type shardStats struct {
-	msgs    int64
-	words   int64
-	maxCong int64
-	_       [5]int64
+	return newEngine(nw, nodes).run(maxRounds)
 }
 
 // engine is the per-Run state of the round loop. Every slice is allocated
 // once here; the steady-state loop allocates nothing (the only amortized
-// growth is the RoundMessages histogram and the inbox capacity ramp-up,
-// both of which stabilise).
+// growth is the RoundMessages histogram and the capacity ramp-up of the
+// inboxes, the active sets and the wake-up buckets, whose backing arrays
+// are recycled once their round has passed).
 type engine struct {
 	nw       *Network
 	nodes    []Node
+	wakers   []Waker // wakers[v] is nodes[v] as a Waker, nil if it is not one
 	n        int
 	maxWords int
 	inj      Injector // nil when no faults are injected
@@ -226,36 +186,29 @@ type engine struct {
 	portEpoch []int   // last round v sent on the port (-1 = never)
 	portMsg   []int32 // index into outboxes[v] of that round's message
 	portLoad  []int64 // messages delivered into the port over the run
+	peer      []int32 // vertex at the far end of the port
+	rport     []int32 // that vertex's port for the same edge
 
-	// deliv[off[w]+k] is the k-th potential delivery into w.
-	deliv []delivEntry
-
-	// Double-buffered inboxes: nodes read inboxCur during the step phase
-	// while delivery fills inboxNxt; the buffers swap at the end of each
-	// round so slice capacity is recycled instead of reallocated.
-	inboxCur [][]Incoming
-	inboxNxt [][]Incoming
+	// inbox[v] collects the messages delivered in this round's delivery
+	// phase; v reads it when it steps next round, which empties it.
+	inbox    [][]Incoming
 	outboxes [][]Outgoing
 	dones    []bool
-	errs     []error
+	notDone  int
 
-	round int
-	phase int
+	round   int
+	stamp   []int   // round in whose delivery phase v was queued (-1 = never)
+	active  []int32 // vertices stepped this round, ascending
+	next    []int32 // vertices queued for next round
+	senders []int32 // vertices that sent this round, ascending
 
-	chunk  int
-	shards []shardStats
-	start  []chan struct{} // nil when sequential
-	wg     sync.WaitGroup
-
-	// Event-driven scheduler state (see EventDriven); unused when the
-	// classic every-node-every-round schedule is in effect.
-	event     bool
-	peer      []int32 // peer[off[v]+p]: vertex at the far end of port p
-	rport     []int32 // rport[off[v]+p]: that vertex's receiving port
-	evStamp   []int   // round the vertex was last queued for (-1 = never)
-	evActive  []int32
-	evNext    []int32
-	evSenders []int32
+	// Wake-ups: wakeAt[v] is v's pending wake-up round (-1 = none) and
+	// wakes[r] lists the vertices due at round r. A bucket entry whose
+	// vertex has since been rescheduled is stale and skipped. spare holds
+	// the emptied buckets of past rounds for reuse by new ones.
+	wakeAt []int
+	wakes  map[int][]int32
+	spare  [][]int32
 }
 
 func newEngine(nw *Network, nodes []Node) *engine {
@@ -265,7 +218,7 @@ func newEngine(nw *Network, nodes []Node) *engine {
 	if maxWords <= 0 {
 		maxWords = 4
 	}
-	e := &engine{nw: nw, nodes: nodes, n: n, maxWords: maxWords, inj: nw.Injector}
+	e := &engine{nw: nw, nodes: nodes, n: n, maxWords: maxWords, inj: nw.Injector, notDone: n}
 
 	e.off = make([]int, n+1)
 	for v := 0; v < n; v++ {
@@ -279,306 +232,278 @@ func newEngine(nw *Network, nodes []Node) *engine {
 	e.portMsg = make([]int32, ports)
 	e.portLoad = make([]int64, ports)
 
-	// The port index of every edge at each endpoint.
-	portAtU := make([]int, g.M())
-	portAtV := make([]int, g.M())
+	// Routing: each edge's port at its two endpoints, then every port's far
+	// end. Senders push along these, so delivery never scans idle ports.
+	portAt := make([]int32, 2*g.M()) // [2id] at endpoint U, [2id+1] at V
 	for v := 0; v < n; v++ {
 		for p, id := range g.IncidentEdges(v) {
 			if u, _ := g.EndpointsOf(int(id)); u == int32(v) {
-				portAtU[id] = p
+				portAt[2*id] = int32(p)
 			} else {
-				portAtV[id] = p
+				portAt[2*id+1] = int32(p)
 			}
 		}
 	}
-	// Receiver-driven delivery table. Scanning senders in ascending order
-	// lays out each receiver's entries in ascending sender order.
-	e.deliv = make([]delivEntry, ports)
-	cursor := make([]int, n)
-	copy(cursor, e.off[:n])
-	for u := 0; u < n; u++ {
-		for up, id := range g.IncidentEdges(u) {
-			ed := g.EdgeByID(int(id))
-			w := ed.Other(u)
-			rp := portAtU[id]
-			if ed.U != w {
-				rp = portAtV[id]
+	e.peer = make([]int32, ports)
+	e.rport = make([]int32, ports)
+	for v := 0; v < n; v++ {
+		for p, id := range g.IncidentEdges(v) {
+			u, w := g.EndpointsOf(int(id))
+			fp := e.off[v] + p
+			if u == int32(v) {
+				e.peer[fp], e.rport[fp] = w, portAt[2*id+1]
+			} else {
+				e.peer[fp], e.rport[fp] = u, portAt[2*id]
 			}
-			e.deliv[cursor[w]] = delivEntry{src: int32(u), srcPort: int32(up), recvPort: int32(rp)}
-			cursor[w]++
 		}
 	}
 
-	e.inboxCur = make([][]Incoming, n)
-	e.inboxNxt = make([][]Incoming, n)
+	e.inbox = make([][]Incoming, n)
 	e.outboxes = make([][]Outgoing, n)
 	e.dones = make([]bool, n)
-	e.errs = make([]error, n)
-
-	// The event-driven schedule applies only when every program has opted
-	// in via the EventDriven marker and no injector is attached (crashes
-	// and stall releases are round-scheduled externally, so every node
-	// must be driven every round under injection).
-	if nw.Injector == nil && !nw.StepAll {
-		e.event = true
-		for _, nd := range nodes {
-			if _, ok := nd.(EventDriven); !ok {
-				e.event = false
-				break
-			}
-		}
+	e.wakers = make([]Waker, n)
+	for v, nd := range nodes {
+		e.wakers[v], _ = nd.(Waker)
 	}
-	if e.event {
-		// Sender-side routing: invert the delivery table so a sender can
-		// push its pending messages without scanning idle receivers.
-		e.peer = make([]int32, ports)
-		e.rport = make([]int32, ports)
-		for w := 0; w < n; w++ {
-			for k := e.off[w]; k < e.off[w+1]; k++ {
-				d := e.deliv[k]
-				sf := e.off[d.src] + int(d.srcPort)
-				e.peer[sf] = int32(w)
-				e.rport[sf] = d.recvPort
-			}
-		}
-		e.evStamp = make([]int, n)
-		for i := range e.evStamp {
-			e.evStamp[i] = -1
-		}
-		e.evActive = make([]int32, 0, n)
-		e.evNext = make([]int32, 0, n)
-		e.evSenders = make([]int32, 0, n)
-		e.shards = make([]shardStats, 1)
-		return e
+	e.stamp = make([]int, n)
+	e.wakeAt = make([]int, n)
+	for v := 0; v < n; v++ {
+		e.stamp[v] = -1
+		e.wakeAt[v] = -1
 	}
-
-	workers := nw.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if !nw.Parallel || workers > n {
-		workers = 1
-	}
-	e.chunk = 1
-	if workers > 1 {
-		e.chunk = (n + workers - 1) / workers
-		workers = (n + e.chunk - 1) / e.chunk
-	}
-	e.shards = make([]shardStats, workers)
-	if workers > 1 {
-		e.start = make([]chan struct{}, workers)
-		for w := 0; w < workers; w++ {
-			e.start[w] = make(chan struct{})
-			go e.workerLoop(w)
-		}
-	}
+	e.active = make([]int32, 0, n)
+	e.next = make([]int32, 0, n)
+	e.senders = make([]int32, 0, n)
+	e.wakes = make(map[int][]int32)
 	return e
 }
 
-// stop shuts down the persistent workers (a no-op for the sequential
-// engine).
-func (e *engine) stop() {
-	for _, c := range e.start {
-		close(c)
+func (e *engine) run(maxRounds int) (int, error) {
+	tr := trace.OrNop(e.nw.Tracer)
+	traced := tr.Enabled()
+	for v := 0; v < e.n; v++ {
+		e.active = append(e.active, int32(v))
 	}
+	for e.round = 0; ; e.round++ {
+		if e.round >= maxRounds {
+			return e.round, &RoundLimitError{Limit: maxRounds}
+		}
+		if err := e.stepRound(); err != nil {
+			return e.round, err
+		}
+		msgs, words, cong := e.deliverRound()
+		e.accountRound(msgs, words, cong, tr, traced)
+		if msgs == 0 && e.notDone == 0 && (e.inj == nil || !e.inj.Pending()) {
+			break
+		}
+		e.advance()
+	}
+	return e.finishRun(tr, traced)
 }
 
-// workerLoop runs one persistent worker over a fixed vertex shard. The
-// coordinator writes e.phase and e.round before signalling, so the channel
-// receive orders those writes before the phase body.
-func (e *engine) workerLoop(w int) {
-	lo := w * e.chunk
-	hi := lo + e.chunk
-	if hi > e.n {
-		hi = e.n
-	}
-	for range e.start[w] {
-		if e.phase == phaseStep {
-			for v := lo; v < hi; v++ {
-				e.step(v)
-			}
-		} else {
-			e.deliver(&e.shards[w], lo, hi)
+// stepRound steps the active vertices in ascending order, so the first
+// protocol error by vertex order ends the run, and records the senders.
+//
+//planarvet:noalloc TestRoundLoopZeroAlloc
+func (e *engine) stepRound() error {
+	e.senders = e.senders[:0]
+	for _, v32 := range e.active {
+		v := int(v32)
+		if err := e.step(v); err != nil {
+			return err
 		}
-		e.wg.Done()
-	}
-}
-
-func (e *engine) runPhase(ph int) {
-	if e.start == nil {
-		if ph == phaseStep {
-			for v := 0; v < e.n; v++ {
-				e.step(v)
-			}
-		} else {
-			e.deliver(&e.shards[0], 0, e.n)
+		e.inbox[v] = e.inbox[v][:0]
+		if len(e.outboxes[v]) > 0 {
+			e.senders = append(e.senders, v32) //planarvet:allocok amortized: capacity n is allocated by newEngine
 		}
-		return
+		if e.wakers[v] != nil || e.inj != nil {
+			e.schedule(v, e.wakeAfter(v))
+		}
 	}
-	e.phase = ph
-	e.wg.Add(len(e.start))
-	for _, c := range e.start {
-		c <- struct{}{}
-	}
-	e.wg.Wait()
+	return nil
 }
 
 // step advances one node and validates its sends. A valid send stamps the
 // sender-side port with the current round and records the outbox index, so
-// delivery can find pending messages without touching edge tables. This is
-// half of the steady-state round loop: everything it writes lives in
-// arrays allocated by newEngine, and the only constructions are the
-// protocol-error values on the abort path.
+// delivery can find pending messages without touching edge tables. The
+// only constructions are the protocol-error values on the abort path.
 //
 //planarvet:noalloc TestRoundLoopZeroAlloc
-func (e *engine) step(v int) {
+func (e *engine) step(v int) error {
 	if e.inj != nil && e.inj.Crashed(e.round, v) {
-		// Crash-stop: the program is not called, nothing is sent (stale
-		// epoch stamps deliver nothing), and the vertex counts as done.
+		// Crash-stop: the program is not called, nothing is sent, and the
+		// vertex counts as done.
 		e.outboxes[v] = nil
-		e.dones[v] = true
-		return
+		e.setDone(v, true)
+		return nil
 	}
-	send, done := e.nodes[v].Round(e.round, e.inboxCur[v])
+	send, done := e.nodes[v].Round(e.round, e.inbox[v])
 	base := e.off[v]
 	deg := e.off[v+1] - base
 	for i, out := range send {
 		if out.Port < 0 || out.Port >= deg {
-			e.errs[v] = &ProtocolError{Kind: ErrInvalidPort, Round: e.round, Vertex: v, Port: out.Port} //planarvet:allocok abort path: a protocol violation ends the run, the steady state never reaches it
-			return
+			return &ProtocolError{Kind: ErrInvalidPort, Round: e.round, Vertex: v, Port: out.Port} //planarvet:allocok abort path: a protocol violation ends the run, the steady state never reaches it
 		}
 		fp := base + out.Port
 		if e.portEpoch[fp] == e.round {
-			e.errs[v] = &ProtocolError{Kind: ErrDuplicateSend, Round: e.round, Vertex: v, Port: out.Port} //planarvet:allocok abort path: a protocol violation ends the run, the steady state never reaches it
-			return
+			return &ProtocolError{Kind: ErrDuplicateSend, Round: e.round, Vertex: v, Port: out.Port} //planarvet:allocok abort path: a protocol violation ends the run, the steady state never reaches it
 		}
 		if out.Msg.Words() > e.maxWords {
 			//planarvet:allocok abort path: a protocol violation ends the run, the steady state never reaches it
-			e.errs[v] = &ProtocolError{Kind: ErrMessageTooLarge, Round: e.round, Vertex: v, Port: out.Port,
+			return &ProtocolError{Kind: ErrMessageTooLarge, Round: e.round, Vertex: v, Port: out.Port,
 				Words: out.Msg.Words(), Limit: e.maxWords}
-			return
 		}
 		e.portEpoch[fp] = e.round
 		e.portMsg[fp] = int32(i)
 	}
 	e.outboxes[v] = send
-	e.dones[v] = done
+	e.setDone(v, done)
+	return nil
 }
 
-// deliver routes pending messages into the receivers [lo,hi). It only
-// reads state written before the phase barrier (epoch stamps, outboxes)
-// and only writes receiver-owned state (inboxNxt, portLoad) plus its own
-// shard, so shards never contend.
+func (e *engine) setDone(v int, done bool) {
+	if e.dones[v] == done {
+		return
+	}
+	e.dones[v] = done
+	if done {
+		e.notDone--
+	} else {
+		e.notDone++
+	}
+}
+
+// deliverRound pushes each sender's stamped ports to their peers. Senders
+// are visited in ascending order, so every inbox is laid out in ascending
+// (sender, sender port) order, and the injector sees each receiver's
+// messages in that order too. Released stalled messages land after the
+// round's regular deliveries. Every receiver, every sender and every
+// vertex with a released message is queued for next round.
 //
 // Per-round edge congestion needs no per-edge bookkeeping: an edge carries
 // two messages in a round exactly when the receiver of one direction also
 // sent on the same port, which is one epoch-stamp comparison.
 //
 //planarvet:noalloc TestRoundLoopZeroAlloc
-func (e *engine) deliver(ws *shardStats, lo, hi int) {
-	ws.msgs, ws.words, ws.maxCong = 0, 0, 0
+func (e *engine) deliverRound() (msgs, words, cong int64) {
 	round := e.round
-	for w := lo; w < hi; w++ {
-		base := e.off[w]
-		deg := e.off[w+1] - base
-		inb := e.inboxNxt[w][:0]
-		for k := 0; k < deg; k++ {
-			d := e.deliv[base+k]
-			sf := e.off[d.src] + int(d.srcPort)
-			if e.portEpoch[sf] != round {
+	e.next = e.next[:0]
+	for _, u32 := range e.senders {
+		u := int(u32)
+		e.queue(u)
+		base := e.off[u]
+		for fp := base; fp < e.off[u+1]; fp++ {
+			if e.portEpoch[fp] != round {
 				continue
 			}
-			msg := e.outboxes[d.src][e.portMsg[sf]].Msg
-			rp := int(d.recvPort)
+			w := int(e.peer[fp])
+			rp := int(e.rport[fp])
+			msg := e.outboxes[u][e.portMsg[fp]].Msg
 			if e.inj != nil {
-				m, fate := e.inj.Deliver(round, int(d.src), int(d.srcPort), w, rp, msg)
+				m, fate := e.inj.Deliver(round, u, fp-base, w, rp, msg)
+				if fate == FateStall {
+					e.schedule(w, e.inj.WakeAt(round, w))
+				}
 				if fate != FateDeliver {
 					continue // dropped or stalled: not delivered this round
 				}
 				msg = m
 			}
-			inb = append(inb, Incoming{Port: rp, Msg: msg}) //planarvet:allocok amortized: inboxNxt backing is recycled by the round-end buffer swap, capacity ramps up once then stabilises
-			ws.msgs++
-			ws.words += int64(msg.Words())
-			e.portLoad[base+rp]++
-			if e.portEpoch[base+rp] == round {
-				ws.maxCong = 2
-			} else if ws.maxCong < 1 {
-				ws.maxCong = 1
+			e.inbox[w] = append(e.inbox[w], Incoming{Port: rp, Msg: msg}) //planarvet:allocok amortized: inbox backing is recycled every round, capacity ramps up once then stabilises
+			e.queue(w)
+			msgs++
+			words += int64(msg.Words())
+			wp := e.off[w] + rp
+			e.portLoad[wp]++
+			if e.portEpoch[wp] == round {
+				cong = 2
+			} else if cong < 1 {
+				cong = 1
 			}
 		}
-		if e.inj != nil {
-			// Stalled messages whose delay expires this round land after
-			// the regular deliveries, still receiver-owned and in a fixed
-			// order, so injected runs stay engine-identical.
-			prev := len(inb)
-			inb = e.inj.Released(round, w, inb)
-			for _, in := range inb[prev:] {
-				ws.msgs++
-				ws.words += int64(in.Msg.Words())
-				e.portLoad[base+in.Port]++
+	}
+	if e.inj != nil {
+		// Every release round is a wake-up of the receiver, so the active
+		// set covers every vertex with a message due this round.
+		for _, v32 := range e.active {
+			v := int(v32)
+			prev := len(e.inbox[v])
+			e.inbox[v] = e.inj.Released(round, v, e.inbox[v])
+			for _, in := range e.inbox[v][prev:] {
+				msgs++
+				words += int64(in.Msg.Words())
+				e.portLoad[e.off[v]+in.Port]++
+			}
+			if len(e.inbox[v]) > prev {
+				e.queue(v)
 			}
 		}
-		e.inboxNxt[w] = inb
+	}
+	return msgs, words, cong
+}
+
+// queue adds v to next round's active set once.
+func (e *engine) queue(v int) {
+	if e.stamp[v] != e.round {
+		e.stamp[v] = e.round
+		e.next = append(e.next, int32(v)) //planarvet:allocok amortized: capacity n is allocated by newEngine
 	}
 }
 
-func (e *engine) run(maxRounds int) (int, error) {
-	nw := e.nw
-	tr := trace.OrNop(nw.Tracer)
-	traced := tr.Enabled()
-	if e.event {
-		return e.runEvent(maxRounds, tr, traced)
+// wakeAfter is v's next wake-up after this round: the earlier of its
+// program's and the injector's, -1 if neither has one.
+func (e *engine) wakeAfter(v int) int {
+	r := -1
+	if w := e.wakers[v]; w != nil {
+		r = w.WakeAt(e.round)
 	}
-
-	for e.round = 0; ; e.round++ {
-		if e.round >= maxRounds {
-			return e.round, &RoundLimitError{Limit: maxRounds}
-		}
-		e.runPhase(phaseStep)
-		for v := 0; v < e.n; v++ {
-			if e.errs[v] != nil {
-				return e.round, e.errs[v]
-			}
-		}
-		e.runPhase(phaseDeliver)
-
-		// Merge worker shards in index order: the totals are sums and
-		// maxima of per-worker accumulators over disjoint receiver ranges,
-		// so they equal the sequential engine's byte for byte.
-		var roundMsgs, roundWords, roundCong int64
-		for i := range e.shards {
-			s := &e.shards[i]
-			roundMsgs += s.msgs
-			roundWords += s.words
-			if s.maxCong > roundCong {
-				roundCong = s.maxCong
-			}
-		}
-		e.accountRound(roundMsgs, roundWords, roundCong, tr, traced)
-
-		e.inboxCur, e.inboxNxt = e.inboxNxt, e.inboxCur
-
-		if roundMsgs == 0 && (e.inj == nil || !e.inj.Pending()) {
-			all := true
-			for v := 0; v < e.n; v++ {
-				if !e.dones[v] {
-					all = false
-					break
-				}
-			}
-			if all {
-				break
-			}
+	if e.inj != nil {
+		if ir := e.inj.WakeAt(e.round, v); ir >= 0 && (r < 0 || ir < r) {
+			r = ir
 		}
 	}
+	return r
+}
 
-	return e.finishRun(tr, traced)
+// schedule books a wake-up of v at round r unless an earlier one is
+// already pending: that one re-asks the sources, which report r again.
+func (e *engine) schedule(v, r int) {
+	if r <= e.round {
+		return
+	}
+	if p := e.wakeAt[v]; p > e.round && p <= r {
+		return
+	}
+	e.wakeAt[v] = r
+	b, ok := e.wakes[r]
+	if !ok && len(e.spare) > 0 {
+		b = e.spare[len(e.spare)-1]
+		e.spare = e.spare[:len(e.spare)-1]
+	}
+	e.wakes[r] = append(b, int32(v)) //planarvet:allocok amortized: emptied buckets are recycled through spare
+}
+
+// advance moves to the next round: it adds the vertices due a wake-up to
+// the queued ones and makes them the active set, in ascending order.
+//
+//planarvet:noalloc TestRoundLoopZeroAlloc
+func (e *engine) advance() {
+	r := e.round + 1
+	if due, ok := e.wakes[r]; ok {
+		for _, v32 := range due {
+			if e.wakeAt[v32] == r {
+				e.queue(int(v32))
+			}
+		}
+		delete(e.wakes, r)
+		e.spare = append(e.spare, due[:0]) //planarvet:allocok amortized: bounded by the buckets pending at once
+	}
+	slices.Sort(e.next)
+	e.active, e.next = e.next, e.active
 }
 
 // accountRound folds one round's delivery totals into the run statistics
-// and emits the per-round trace span; it is shared by both schedules so
-// traces and stats are byte-identical across them.
+// and emits the per-round trace span.
 func (e *engine) accountRound(roundMsgs, roundWords, roundCong int64, tr trace.Tracer, traced bool) {
 	nw := e.nw
 	nw.stats.Messages += roundMsgs
@@ -629,96 +554,4 @@ func (e *engine) finishRun(tr trace.Tracer, traced bool) (int, error) {
 		tr.SetGauge("congest.max_edge_load", nw.stats.MaxEdgeLoad)
 	}
 	return nw.stats.Rounds, nil
-}
-
-// runEvent is the event-driven schedule: only nodes that received a
-// message this round (or sent one last round, so streamed follow-ups like
-// end markers still fire) are stepped; everything else is provably
-// quiescent under the EventDriven contract. Delivery is sender-driven —
-// iterating the round's senders in ascending order lays each receiver's
-// inbox out in ascending (sender, sender-port) order, byte-identical to
-// the receiver-driven scan of the classic schedule.
-func (e *engine) runEvent(maxRounds int, tr trace.Tracer, traced bool) (int, error) {
-	active := e.evActive[:0]
-	for v := 0; v < e.n; v++ {
-		active = append(active, int32(v))
-	}
-	next := e.evNext[:0]
-	notDone := e.n
-
-	for e.round = 0; ; e.round++ {
-		if e.round >= maxRounds {
-			return e.round, &RoundLimitError{Limit: maxRounds}
-		}
-
-		// Step phase over the active set (ascending, so the first protocol
-		// error by vertex order wins, as in the classic schedule).
-		senders := e.evSenders[:0]
-		for _, v32 := range active {
-			v := int(v32)
-			wasDone := e.dones[v]
-			e.step(v)
-			if e.errs[v] != nil {
-				return e.round, e.errs[v]
-			}
-			if e.dones[v] != wasDone {
-				if e.dones[v] {
-					notDone--
-				} else {
-					notDone++
-				}
-			}
-			e.inboxCur[v] = e.inboxCur[v][:0]
-			if len(e.outboxes[v]) > 0 {
-				senders = append(senders, v32)
-			}
-		}
-
-		// Delivery phase: push each sender's stamped ports to the peers.
-		var roundMsgs, roundWords, roundCong int64
-		next = next[:0]
-		for _, u32 := range senders {
-			u := int(u32)
-			if e.evStamp[u] != e.round {
-				e.evStamp[u] = e.round
-				next = append(next, u32)
-			}
-			base := e.off[u]
-			deg := e.off[u+1] - base
-			for p := 0; p < deg; p++ {
-				fp := base + p
-				if e.portEpoch[fp] != e.round {
-					continue
-				}
-				w := int(e.peer[fp])
-				rp := int(e.rport[fp])
-				msg := e.outboxes[u][e.portMsg[fp]].Msg
-				e.inboxCur[w] = append(e.inboxCur[w], Incoming{Port: rp, Msg: msg})
-				if e.evStamp[w] != e.round {
-					e.evStamp[w] = e.round
-					next = append(next, int32(w))
-				}
-				roundMsgs++
-				roundWords += int64(msg.Words())
-				wp := e.off[w] + rp
-				e.portLoad[wp]++
-				if e.portEpoch[wp] == e.round {
-					roundCong = 2
-				} else if roundCong < 1 {
-					roundCong = 1
-				}
-			}
-		}
-		slices.Sort(next)
-
-		e.accountRound(roundMsgs, roundWords, roundCong, tr, traced)
-
-		if roundMsgs == 0 && notDone == 0 {
-			break
-		}
-		active, next = next, active
-	}
-
-	e.evActive, e.evNext = active, next
-	return e.finishRun(tr, traced)
 }

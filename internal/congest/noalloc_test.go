@@ -7,8 +7,7 @@ import (
 )
 
 // saturatorNode sends one preallocated message on every port each round and
-// never halts. It deliberately does NOT implement EventDriven, so the
-// classic step/deliver engine — the annotated noalloc pair — runs it.
+// never halts, so every vertex is active in every round.
 type saturatorNode struct {
 	out []Outgoing
 }
@@ -17,12 +16,21 @@ func (c *saturatorNode) Round(round int, recv []Incoming) ([]Outgoing, bool) {
 	return c.out, false
 }
 
+// wakingSaturatorNode is a saturatorNode that also books a wake-up two
+// rounds ahead after every step, so each round opens a new wake-up bucket
+// and retires the one due.
+type wakingSaturatorNode struct {
+	saturatorNode
+}
+
+func (c *wakingSaturatorNode) WakeAt(round int) int { return round + 2 }
+
 // TestRoundLoopZeroAlloc is the runtime gate behind the
-// //planarvet:noalloc annotations on (*engine).step and (*engine).deliver:
-// once the double-buffered inboxes have ramped up to their steady-state
-// capacity, a full round (step barrier, delivery barrier, buffer swap)
-// performs zero allocations even with every edge saturated in both
-// directions.
+// //planarvet:noalloc annotations on the event loop — (*engine).stepRound,
+// step, deliverRound and advance: once the inboxes, active sets and
+// wake-up buckets have ramped up to their steady-state capacity, a full
+// round performs zero allocations even with every edge saturated in both
+// directions, with and without a wake-up booked by every vertex each round.
 func TestRoundLoopZeroAlloc(t *testing.T) {
 	g := graph.New(4)
 	g.MustAddEdge(0, 1)
@@ -31,45 +39,53 @@ func TestRoundLoopZeroAlloc(t *testing.T) {
 	g.MustAddEdge(3, 0)
 	g.MustAddEdge(0, 2)
 
-	nw := New(g)
-	nw.Parallel = false // single shard: the measurement must not see goroutine churn
-	nodes := make([]Node, g.N())
-	for v := range nodes {
-		out := make([]Outgoing, g.Degree(v))
-		for p := range out {
-			out[p] = Outgoing{Port: p, Msg: Message{Kind: 7}}
+	for _, waking := range []bool{false, true} {
+		nw := New(g)
+		nodes := make([]Node, g.N())
+		for v := range nodes {
+			out := make([]Outgoing, g.Degree(v))
+			for p := range out {
+				out[p] = Outgoing{Port: p, Msg: Message{Kind: 7}}
+			}
+			if waking {
+				nodes[v] = &wakingSaturatorNode{saturatorNode{out: out}}
+			} else {
+				nodes[v] = &saturatorNode{out: out}
+			}
 		}
-		nodes[v] = &saturatorNode{out: out}
-	}
 
-	e := newEngine(nw, nodes)
-	defer e.stop()
-	if e.event {
-		t.Fatal("classic engine expected: saturatorNode must not be EventDriven")
-	}
-	oneRound := func() {
-		e.runPhase(phaseStep)
-		e.runPhase(phaseDeliver)
-		e.inboxCur, e.inboxNxt = e.inboxNxt, e.inboxCur
-		e.round++
-	}
-	// Two warm-up rounds grow BOTH inbox buffers to steady-state capacity
-	// (each round fills only the next-round buffer before the swap).
-	oneRound()
-	oneRound()
-	for v := 0; v < e.n; v++ {
-		if e.errs[v] != nil {
-			t.Fatalf("warm-up round failed at vertex %d: %v", v, e.errs[v])
+		e := newEngine(nw, nodes)
+		for v := 0; v < e.n; v++ {
+			e.active = append(e.active, int32(v))
 		}
-	}
+		oneRound := func() {
+			if err := e.stepRound(); err != nil {
+				t.Fatal(err)
+			}
+			e.deliverRound()
+			e.advance()
+			e.round++
+		}
+		// Warm-up rounds grow the inboxes, both active-set buffers and the
+		// wake-up buckets in flight to steady-state capacity.
+		for range 4 {
+			oneRound()
+		}
 
-	allocs := testing.AllocsPerRun(100, oneRound)
-	if allocs != 0 {
-		t.Fatalf("steady-state round allocates %.1f times, want 0", allocs)
-	}
-	for v := 0; v < e.n; v++ {
-		if got, want := len(e.inboxCur[v]), g.Degree(v); got != want {
-			t.Fatalf("vertex %d received %d messages, want %d", v, got, want)
+		allocs := testing.AllocsPerRun(100, oneRound)
+		if allocs != 0 {
+			t.Fatalf("waking=%v: steady-state round allocates %.1f times, want 0", waking, allocs)
+		}
+		if len(e.active) != e.n {
+			t.Fatalf("waking=%v: %d vertices active, want all %d", waking, len(e.active), e.n)
+		}
+		if waking && len(e.wakes) == 0 {
+			t.Fatalf("no wake-up bucket pending: the waking program booked none")
+		}
+		for v := 0; v < e.n; v++ {
+			if got, want := len(e.inbox[v]), g.Degree(v); got != want {
+				t.Fatalf("waking=%v: vertex %d received %d messages, want %d", waking, v, got, want)
+			}
 		}
 	}
 }

@@ -1,66 +1,64 @@
-package congest
+package congest_test
 
 import (
 	"bytes"
 	"reflect"
 	"testing"
 
+	"planardfs/internal/congest"
+	"planardfs/internal/congest/congesttest"
+	"planardfs/internal/gen"
 	"planardfs/internal/trace"
 )
 
 // TestTraceIdenticalAcrossEngines locks the determinism contract of the
-// tracing subsystem: the parallel (goroutine-per-chunk) and sequential
-// round engines must produce byte-identical trace exports and equal stats
-// on the same seeded workload, because the tracer is only driven from the
-// sequential delivery section of the round loop.
+// tracing subsystem: the engine and the step-all reference must produce
+// byte-identical trace exports and equal stats for two programs recorded
+// back to back on one recorder, because the tracer is driven once per
+// round from the round's totals, whatever the schedule.
 func TestTraceIdenticalAcrossEngines(t *testing.T) {
-	g := gridGraph(t, 9, 9)
-	run := func(parallel bool) (*trace.Recorder, Stats) {
+	in, err := gen.ByName("grid", 81, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := in.G
+	run := func(reference bool) (*trace.Recorder, []congest.Stats) {
 		rec := trace.NewRecorder()
-
-		nw := New(g)
-		nw.Parallel = parallel
-		if parallel {
-			nw.Workers = 4 // real sharding even on a single-CPU host
+		exec := func(nw *congest.Network, nodes []congest.Node, maxRounds int) congest.Stats {
+			nw.Tracer = rec
+			if reference {
+				_, st, err := congesttest.Reference(nw, nodes, maxRounds)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return st
+			}
+			if _, err := nw.Run(nodes, maxRounds); err != nil {
+				t.Fatal(err)
+			}
+			return nw.Stats()
 		}
-		nw.Tracer = rec
-		nodes := NewAwerbuchNodes(nw, 0)
-		if _, err := nw.Run(nodes, 10*g.N()); err != nil {
-			t.Fatal(err)
-		}
-		awe := nw.Stats()
+		nw := congest.New(g)
+		awe := exec(nw, congest.NewAwerbuchNodes(nw, 0), 10*g.N())
 
 		// A second program on the same recorder: the pipelined PA sum over
 		// a BFS tree, exercising multi-word messages and the per-round
 		// congestion counters.
-		parent := make([]int, g.N())
 		partOf := make([]int, g.N())
 		value := make([]int, g.N())
-		res := g.BFS(0)
-		for v := 0; v < g.N(); v++ {
-			parent[v] = res.Parent[v]
-			partOf[v] = 0
+		for v := range value {
 			value[v] = 1
 		}
-		nw2 := New(g)
-		nw2.Parallel = parallel
-		if parallel {
-			nw2.Workers = 4
-		}
-		nw2.Tracer = rec
-		panodes := NewPANodes(nw2, parent, 0, partOf, value, OpSum)
-		if _, err := nw2.Run(panodes, 100*g.N()); err != nil {
-			t.Fatal(err)
-		}
-		return rec, awe
+		nw2 := congest.New(g)
+		pa := exec(nw2, congest.NewPANodes(nw2, g.BFS(0).Parent, 0, partOf, value, congest.OpSum), 100*g.N())
+		return rec, []congest.Stats{awe, pa}
 	}
 
-	recPar, stPar := run(true)
-	recSeq, stSeq := run(false)
-	if !reflect.DeepEqual(stPar, stSeq) {
-		t.Fatalf("stats diverge:\nparallel:   %+v\nsequential: %+v", stPar, stSeq)
+	recEng, stEng := run(false)
+	recRef, stRef := run(true)
+	if !reflect.DeepEqual(stEng, stRef) {
+		t.Fatalf("stats diverge:\nengine:    %+v\nreference: %+v", stEng, stRef)
 	}
-
 	export := func(rec *trace.Recorder) (jsonl, chrome []byte) {
 		var bj, bc bytes.Buffer
 		if err := rec.WriteJSONL(&bj); err != nil {
@@ -71,15 +69,15 @@ func TestTraceIdenticalAcrossEngines(t *testing.T) {
 		}
 		return bj.Bytes(), bc.Bytes()
 	}
-	jPar, cPar := export(recPar)
-	jSeq, cSeq := export(recSeq)
-	if !bytes.Equal(jPar, jSeq) {
-		t.Fatal("JSONL trace differs between parallel and sequential engines")
+	jEng, cEng := export(recEng)
+	jRef, cRef := export(recRef)
+	if !bytes.Equal(jEng, jRef) {
+		t.Fatal("JSONL trace differs between the engine and the reference")
 	}
-	if !bytes.Equal(cPar, cSeq) {
-		t.Fatal("Chrome trace differs between parallel and sequential engines")
+	if !bytes.Equal(cEng, cRef) {
+		t.Fatal("Chrome trace differs between the engine and the reference")
 	}
-	if len(recPar.Spans()) == 0 {
+	if len(recEng.Spans()) == 0 {
 		t.Fatal("trace is empty")
 	}
 }

@@ -54,11 +54,6 @@ type rotNode struct {
 	judged bool
 }
 
-// CongestEventDriven marks the program as purely message-driven: the
-// round-0 broadcast is the only spontaneous act, and judging is triggered
-// by the arriving link triples.
-func (rn *rotNode) CongestEventDriven() {}
-
 // Round implements congest.Node.
 func (rn *rotNode) Round(round int, recv []congest.Incoming) ([]congest.Outgoing, bool) {
 	if round == 0 {
@@ -137,6 +132,23 @@ func buildRotNode(info congest.NodeInfo, rot []int) *rotNode {
 	return rn
 }
 
+// rotationRounds is the round budget of the rotation exchange.
+const rotationRounds = 8
+
+// rotNodes builds the checker programs over nw's graph for the claimed
+// rotations (a vertex past the end of rot claims an empty rotation).
+func rotNodes(nw *congest.Network, rot [][]int) []congest.Node {
+	nodes := make([]congest.Node, nw.G.N())
+	for v := range nodes {
+		var claimed []int
+		if v < len(rot) {
+			claimed = rot[v]
+		}
+		nodes[v] = buildRotNode(nw.Info(v), claimed)
+	}
+	return nodes
+}
+
 // runRotationCheck executes the distributed rotation/endpoint check over
 // the claimed rotations and aggregates the verdict. It returns the
 // rejecting vertices (nil on acceptance) with the measured cost.
@@ -147,18 +159,8 @@ func runRotationCheck(g *graph.Graph, rot [][]int, opt Options) (rejectors []int
 	defer sp.End()
 
 	nw := opt.network(g, 4)
-	nodes := make([]congest.Node, n)
-	rns := make([]*rotNode, n)
-	for v := 0; v < n; v++ {
-		var claimed []int
-		if v < len(rot) {
-			claimed = rot[v]
-		}
-		rn := buildRotNode(nw.Info(v), claimed)
-		rns[v] = rn
-		nodes[v] = rn
-	}
-	r1, err := nw.Run(nodes, 8)
+	nodes := rotNodes(nw, rot)
+	r1, err := nw.Run(nodes, rotationRounds)
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("guard: rotation exchange: %w", err)
 	}
@@ -167,8 +169,8 @@ func runRotationCheck(g *graph.Graph, rot [][]int, opt Options) (rejectors []int
 	messages = st.Messages
 
 	accepts := make([]int, n)
-	for v, rn := range rns {
-		if rn.accept && rn.judged {
+	for v, nd := range nodes {
+		if rn := nd.(*rotNode); rn.accept && rn.judged {
 			accepts[v] = 1
 		}
 	}

@@ -170,19 +170,9 @@ func (v *Verdict) addCheck(name string, ok bool, rounds int, messages int64) {
 	v.Messages += messages
 }
 
-// Options configure a validation run. The zero value runs the parallel
-// engine with the default tester budget (16 seeded centers, radius-1
-// balls) untraced.
+// Options configure a validation run. The zero value runs the default
+// tester budget (16 seeded centers, radius-1 balls) untraced.
 type Options struct {
-	// Sequential selects the sequential round engine; verdicts are
-	// bit-identical either way.
-	Sequential bool
-	// Workers overrides the sharded engine's worker count; 0 means one per
-	// CPU.
-	Workers int
-	// StepAll forces the classic schedule even for event-driven programs;
-	// the engine-equivalence tests run the guard under both.
-	StepAll bool
 	// Tracer records guard spans and the underlying network rounds; nil
 	// disables tracing.
 	Tracer trace.Tracer
@@ -208,10 +198,7 @@ func (o Options) network(g *graph.Graph, maxWords int) *congest.Network {
 	if maxWords > nw.MaxWords {
 		nw.MaxWords = maxWords
 	}
-	nw.Parallel = !o.Sequential
-	nw.Workers = o.Workers
 	nw.Tracer = o.Tracer
-	nw.StepAll = o.StepAll
 	return nw
 }
 

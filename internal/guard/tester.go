@@ -40,9 +40,9 @@ const (
 )
 
 // ballNode is the per-vertex program of one ball probe. It is
-// round-scheduled (not event-driven): membership counts are final once
-// every flood message has landed, which the program detects by the round
-// number, so it must be stepped every round.
+// round-clocked: membership counts are final once every flood message has
+// landed, which the program detects by the round number, so a member wakes
+// at that round (congest.Waker) to start the convergecast.
 type ballNode struct {
 	deg    int
 	center bool
@@ -129,6 +129,16 @@ func (bn *ballNode) Round(round int, recv []congest.Incoming) ([]congest.Outgoin
 	return out, bn.reported
 }
 
+// WakeAt implements congest.Waker: a member may start the convergecast at
+// round radius+2 with no message to prompt it (a leaf has no child report
+// to wait for).
+func (bn *ballNode) WakeAt(round int) int {
+	if bn.adopted && !bn.reported && round < bn.radius+2 {
+		return bn.radius + 2
+	}
+	return -1
+}
+
 // announce broadcasts the adoption: a grow on every port, with the
 // child-claim bit set toward the flood parent.
 func (bn *ballNode) announce() []congest.Outgoing {
@@ -164,20 +174,24 @@ func centersFor(n int, opt Options) []int {
 	return out
 }
 
+// ballNodes builds the programs of one ball probe.
+func ballNodes(g *graph.Graph, center, radius int) []congest.Node {
+	nodes := make([]congest.Node, g.N())
+	for v := range nodes {
+		nodes[v] = &ballNode{deg: g.Degree(v), center: v == center, radius: radius, dist: -1, parentPort: -1}
+	}
+	return nodes
+}
+
+// ballRounds is the round budget of a ball probe of the given radius.
+func ballRounds(radius int) int { return 2*radius + 16 }
+
 // probeBall runs one ball program and returns the center's measurement.
 func probeBall(g *graph.Graph, center, radius int, opt Options) (nS, mS2, rounds int, messages int64, err error) {
-	n := g.N()
 	nw := opt.network(g, 3)
-	nodes := make([]congest.Node, n)
-	var cn *ballNode
-	for v := 0; v < n; v++ {
-		bn := &ballNode{deg: g.Degree(v), center: v == center, radius: radius, dist: -1, parentPort: -1}
-		if bn.center {
-			cn = bn
-		}
-		nodes[v] = bn
-	}
-	r, err := nw.Run(nodes, 2*radius+16)
+	nodes := ballNodes(g, center, radius)
+	cn := nodes[center].(*ballNode)
+	r, err := nw.Run(nodes, ballRounds(radius))
 	if err != nil {
 		return 0, 0, 0, 0, fmt.Errorf("guard: ball probe at %d: %w", center, err)
 	}

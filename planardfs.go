@@ -415,8 +415,8 @@ type (
 	GuardVerdict = guard.Verdict
 	// GuardWitness is the concrete evidence attached to a rejection.
 	GuardWitness = guard.Witness
-	// GuardOptions configure a validation run (engine, tester seed and
-	// ball budget, tracing).
+	// GuardOptions configure a validation run (tester seed and ball
+	// budget, tracing).
 	GuardOptions = guard.Options
 	// GuardReason classifies a rejection (shape, disconnected, rotation,
 	// endpoint-mismatch, edge-count, dense-region, euler).
