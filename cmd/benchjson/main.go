@@ -404,10 +404,8 @@ func measureEngine(engine, family string, n int) (EngineEntry, error) {
 	if err != nil {
 		return EngineEntry{}, err
 	}
-	opts := sepengine.Options{Seed: 1}
-
 	entry := EngineEntry{EngineName: engine, Family: family, N: g.N(), M: g.M()}
-	probe, err := sepengine.Find(engine, cfg, opts)
+	probe, err := sepengine.Find(engine, cfg)
 	switch {
 	case err == nil:
 		entry.CycleLen = probe.CycleLen
@@ -433,7 +431,7 @@ func measureEngine(engine, family string, n int) (EngineEntry, error) {
 	res := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := sepengine.Find(engine, cfg, opts); err != nil &&
+			if _, err := sepengine.Find(engine, cfg); err != nil &&
 				!errors.Is(err, sepengine.ErrNoSeparator) {
 				benchErr = err
 				b.Fatal(err)

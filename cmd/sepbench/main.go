@@ -6,7 +6,7 @@
 //	sepbench -experiment e1 [-sizes 64,256,1024,4096] [-families grid,stacked]
 //	sepbench -trace out.json -metrics   # instrumented separator run
 //	sepbench -certify                   # self-check one separator run
-//	sepbench -certify -engine lipton-tarjan
+//	sepbench -certify -engine har-peled-nayyeri
 //	                                    # self-check a specific engine
 //	sepbench -engine list               # print the registered engines
 //	sepbench -recover -chaos structural=4 -chaos-seed 7
@@ -237,7 +237,7 @@ func certifyRun(family string, n int, seed int64, engine string) error {
 	if err != nil {
 		return err
 	}
-	res, err := sepengine.Find(engine, cfg, sepengine.Options{Seed: seed})
+	res, err := sepengine.Find(engine, cfg)
 	if err != nil {
 		return err
 	}

@@ -2,15 +2,15 @@
 // discipline: sentinel matching through errors.Is/As and chain-preserving
 // wrapping with %w.
 //
-// The repo's error surface is built on typed wrappers around sentinels —
-// *NoSeparatorError unwraps to ErrNoSeparator, *UnknownEngineError names
-// the registry set — precisely so that callers can match on the sentinel
-// while the diagnostic form carries run statistics. That design dies
-// quietly at two kinds of call sites:
+// The repo's error surface is built on sentinels wrapped with context —
+// a randomized-baseline miss wraps ErrNoSeparator with its sample count,
+// an engine's invalid output wraps the certifier's error — precisely so
+// that callers can match on the sentinel while the message carries run
+// statistics. That design dies quietly at two kinds of call sites:
 //
 //   - `err == ErrNoSeparator` is false for every wrapped form, so the
 //     fallback path silently stops firing the day an engine starts
-//     returning the diagnostic wrapper. Identity comparison of non-nil
+//     returning a wrapped error. Identity comparison of non-nil
 //     errors (==, !=, or a switch over an error value) must be errors.Is,
 //     which walks the Unwrap chain.
 //   - `fmt.Errorf("context: %v", err)` stringifies the chain instead of

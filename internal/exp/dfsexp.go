@@ -8,6 +8,7 @@ import (
 	"planardfs/internal/dfs"
 	"planardfs/internal/dist"
 	"planardfs/internal/gen"
+	"planardfs/internal/randsep"
 	"planardfs/internal/separator"
 	"planardfs/internal/sepengine"
 	"planardfs/internal/shortcut"
@@ -190,22 +191,16 @@ func E10(family string, n int, rates []float64, trials int, baseSeed int64) ([]E
 			if 3*separator.VerifyBalance(in.G, dsep.Path) <= 2*nn {
 				row.DetOK++
 			}
-			// Through the engine registry; the seed-threading contract is
-			// unchanged (trial seed * 1337, as documented in PR 4), and a
-			// registry success implies balance (the engine rejects
-			// unbalanced faces as a soft failure).
-			res, err := sepengine.Find("randomized", cfg, sepengine.Options{
-				Seed: seed * 1337, SampleRate: rate, Margin: 0.03,
-			})
+			// The sampling RNG is seeded with the trial seed * 1337, and a
+			// success implies balance (randsep reports an unbalanced face
+			// as a soft failure).
+			res, err := randsep.Find(cfg, rate, 0.03, seed*1337)
+			if err != nil && !errors.Is(err, sepengine.ErrNoSeparator) {
+				return nil, err
+			}
+			totalSamples += res.Samples
 			if err == nil {
-				totalSamples += res.Samples
 				row.RandOK++
-			} else {
-				var nse *sepengine.NoSeparatorError
-				if !errors.As(err, &nse) {
-					return nil, err
-				}
-				totalSamples += nse.Samples
 			}
 		}
 		row.AvgSamples = float64(totalSamples) / float64(row.Trials)

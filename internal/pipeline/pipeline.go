@@ -18,7 +18,6 @@ import (
 	"planardfs/internal/sepengine"
 	"planardfs/internal/shortcut"
 	"planardfs/internal/spanning"
-	"planardfs/internal/trace"
 	"planardfs/internal/weights"
 )
 
@@ -63,7 +62,7 @@ type Result struct {
 func Run(ctx context.Context, in *gen.Instance, opt Options) (*Result, error) {
 	tracer := opt.Policy.Tracer
 	fallbacks := 0
-	find, err := separatorFinder(opt.Engine, tracer, &fallbacks)
+	find, err := separatorFinder(opt.Engine, &fallbacks)
 	if err != nil {
 		return nil, err
 	}
@@ -119,7 +118,7 @@ func Run(ctx context.Context, in *gen.Instance, opt Options) (*Result, error) {
 // default is separator.Find, making the build exactly dfs.BuildTraced; any
 // other engine falls back to Theorem 1 where it finds no separator, so the
 // build stays total, and counts those fallbacks in *fallbacks.
-func separatorFinder(engine string, tracer trace.Tracer, fallbacks *int) (separator.FindFunc, error) {
+func separatorFinder(engine string, fallbacks *int) (separator.FindFunc, error) {
 	eng, err := sepengine.Get(engine)
 	if err != nil {
 		return nil, err
@@ -128,7 +127,7 @@ func separatorFinder(engine string, tracer trace.Tracer, fallbacks *int) (separa
 		return separator.Find, nil
 	}
 	return func(cfg *weights.Config) (*separator.Separator, error) {
-		r, err := eng.FindCycleSeparator(cfg, sepengine.Options{Tracer: tracer})
+		r, err := eng.FindCycleSeparator(cfg)
 		if err == nil {
 			return r.Sep, nil
 		}

@@ -54,7 +54,7 @@ func enginesUnderPhases(spans []trace.SpanEvent) int {
 func TestRunEngineReachesComponents(t *testing.T) {
 	in := instance(t, "stacked", 120)
 	root := outerRoot(in)
-	for _, engine := range []string{"", "lipton-tarjan", "har-peled-nayyeri"} {
+	for _, engine := range []string{"", "dual-tree-bfs", "har-peled-nayyeri"} {
 		rec := trace.NewRecorder()
 		res, err := Run(context.Background(), in, Options{Root: root, Engine: engine, Policy: chaos.Policy{Tracer: rec}})
 		if err != nil {

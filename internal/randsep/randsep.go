@@ -10,16 +10,19 @@
 //
 // The package is the repo's one *intentionally* randomized algorithm, and
 // it still obeys the determinism policy enforced by planarvet
-// (rngwallclock): the RNG is always a caller-supplied *rand.Rand, never
-// the process-global math/rand generator, so a baseline run is
-// reproducible from its seed.
+// (rngwallclock): the RNG is always derived from a caller-supplied seed,
+// never from the process-global math/rand generator, so a baseline run is
+// reproducible from its arguments alone.
 package randsep
 
 import (
 	"fmt"
 	"math/rand"
 
+	"planardfs/internal/cert"
+	"planardfs/internal/dist"
 	"planardfs/internal/separator"
+	"planardfs/internal/sepengine"
 	"planardfs/internal/weights"
 )
 
@@ -33,21 +36,41 @@ type Result struct {
 	EstimateErr int
 }
 
-// ErrNoCandidate is returned when no face estimate lands in the safety
-// band; callers fall back or retry with a larger sample.
-var ErrNoCandidate = fmt.Errorf("randsep: no face estimate within the safety band")
+// Defaults for a zero sample rate or margin.
+const (
+	defaultSampleRate = 0.25
+	defaultMargin     = 0.03
+)
 
 // Find estimates every real fundamental face's extent |F̄_e| (inside plus
-// border) from a uniform sample of the given rate, and returns the T-path
-// of a face whose estimate lies within [ (1/3+margin)n, (2/3-margin)n ].
-// The returned separator is NOT guaranteed balanced — that is the point of
-// the baseline; experiment E10 measures the failure rate against the
-// deterministic algorithm's 100%.
-func Find(cfg *weights.Config, sampleRate, margin float64, rng *rand.Rand) (*Result, error) {
-	n := cfg.G.N()
-	if sampleRate <= 0 || sampleRate > 1 {
+// border) from a uniform vertex sample of the given rate, drawn from a
+// generator seeded with seed, and returns the T-path of the first face
+// whose estimate lies within [ (1/3+margin)n, (2/3-margin)n ]. A zero rate
+// or margin selects 0.25 or 0.03.
+//
+// The estimate can miss: when no face lands in the band, or the face that
+// does is unbalanced, the error wraps sepengine.ErrNoSeparator and the
+// returned Result still carries the sample count — experiment E10
+// measures that failure rate against the deterministic algorithm's 100%.
+// A returned separator has passed cert.CheckSeparator. Any other error
+// (a rate outside (0, 1], a rejected path) comes with a nil Result.
+func Find(cfg *weights.Config, sampleRate, margin float64, seed int64) (*Result, error) {
+	if sampleRate == 0 {
+		sampleRate = defaultSampleRate
+	}
+	if margin == 0 {
+		margin = defaultMargin
+	}
+	g, n := cfg.G, cfg.G.N()
+	// The charged profile: the sampling broadcast plus one estimate
+	// aggregation per range query and the final path marking. The span
+	// keeps the name it carried as a registry engine.
+	sepengine.Charge(cfg, "randomized", dist.PAProblemOps().Times(3).Plus(dist.MarkPathOps(n)))
+	if sampleRate < 0 || sampleRate > 1 {
 		return nil, fmt.Errorf("randsep: sample rate %v out of (0,1]", sampleRate)
 	}
+
+	rng := rand.New(rand.NewSource(seed))
 	var sample []int
 	for v := 0; v < n; v++ {
 		if rng.Float64() < sampleRate {
@@ -55,9 +78,30 @@ func Find(cfg *weights.Config, sampleRate, margin float64, rng *rand.Rand) (*Res
 		}
 	}
 	res := &Result{Samples: len(sample)}
-	if len(sample) == 0 {
-		return res, ErrNoCandidate
+	sep := estimate(cfg, sample, margin, res)
+	if sep == nil {
+		return res, fmt.Errorf("%w: no face estimate within the safety band (samples=%d)",
+			sepengine.ErrNoSeparator, res.Samples)
 	}
+	if 3*separator.VerifyBalance(g, sep.Path) > 2*n {
+		return res, fmt.Errorf("%w: sampled face is unbalanced (samples=%d, estErr=%d)",
+			sepengine.ErrNoSeparator, res.Samples, res.EstimateErr)
+	}
+	if err := cert.CheckSeparator(g, sep); err != nil {
+		return nil, fmt.Errorf("randsep: invalid separator: %w", err)
+	}
+	res.Sep = sep
+	return res, nil
+}
+
+// estimate scans the real fundamental faces in order, recording the
+// largest estimation error on res, and returns the T-path separator of the
+// first face whose sampled extent lies in the safety band, or nil.
+func estimate(cfg *weights.Config, sample []int, margin float64, res *Result) *separator.Separator {
+	if len(sample) == 0 {
+		return nil
+	}
+	n := cfg.G.N()
 	lo := (1.0/3.0 + margin) * float64(n)
 	hi := (2.0/3.0 - margin) * float64(n)
 	scale := float64(n) / float64(len(sample))
@@ -78,14 +122,13 @@ func Find(cfg *weights.Config, sampleRate, margin float64, rng *rand.Rand) (*Res
 			res.EstimateErr = -d
 		}
 		if est >= lo && est <= hi {
-			res.Sep = &separator.Separator{
+			return &separator.Separator{
 				Path:  cfg.Tree.TPath(ec.U, ec.V),
 				EndA:  ec.U,
 				EndB:  ec.V,
 				Phase: separator.PhaseDirect,
 			}
-			return res, nil
 		}
 	}
-	return res, ErrNoCandidate
+	return nil
 }

@@ -132,15 +132,6 @@ func virtualPairCandidates(cfg *weights.Config, baseScore int) []candidate {
 	return out
 }
 
-// fundWeights computes the face weight of every fundamental edge once.
-func fundWeights(cfg *weights.Config, fund []int) map[int]int {
-	w := make(map[int]int, len(fund))
-	for _, e := range fund {
-		w[e] = cfg.Weight(e)
-	}
-	return w
-}
-
 // absDiff returns |a - b|.
 func absDiff(a, b int) int {
 	if a > b {

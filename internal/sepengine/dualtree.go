@@ -25,10 +25,10 @@ type dualTreeEngine struct{}
 
 func (dualTreeEngine) Name() string { return "dual-tree-bfs" }
 
-func (dualTreeEngine) FindCycleSeparator(cfg *weights.Config, opts Options) (*Result, error) {
+func (dualTreeEngine) FindCycleSeparator(cfg *weights.Config) (*Result, error) {
 	n := cfg.G.N()
 	ops := dualTreeOps(n)
-	charge(cfg, opts, "dual-tree-bfs", ops)
+	Charge(cfg, "dual-tree-bfs", ops)
 
 	fund := cfg.FundamentalEdges()
 	if len(fund) == 0 {

@@ -40,31 +40,7 @@ type Engine interface {
 	// when the engine ran to completion without finding a balanced cycle
 	// (a legitimate outcome for incomplete engines), or reports an
 	// infrastructure fault otherwise.
-	FindCycleSeparator(cfg *weights.Config, opts Options) (*Result, error)
-}
-
-// Options carry the per-call knobs shared by all engines. The zero value
-// is valid: no tracing, deterministic engines use their defaults, and the
-// randomized engine derives its generator from Seed 0.
-type Options struct {
-	// Tracer instruments the run with round-stamped spans (nil disables).
-	// Engines charge their primitive invocations on the configuration's
-	// tracer exactly like the Theorem 1 driver does.
-	Tracer trace.Tracer
-	// Seed drives the randomized engine. The seed-threading contract of
-	// internal/randsep is preserved: the RNG is always derived from this
-	// caller-supplied seed, never from a process-global generator, so a
-	// run is reproducible from its arguments alone.
-	Seed int64
-	// SampleRate is the randomized engine's vertex-sampling rate in
-	// (0, 1]; 0 selects the default 0.25.
-	SampleRate float64
-	// Margin is the randomized engine's safety band margin; 0 selects the
-	// default 0.03.
-	Margin float64
-	// Ablation toggles design elements of the theorem1 engine (ignored by
-	// the others).
-	Ablation separator.Options
+	FindCycleSeparator(cfg *weights.Config) (*Result, error)
 }
 
 // Result is a validated engine output.
@@ -88,9 +64,6 @@ type Result struct {
 	// Rounds is the charged CONGEST round cost of the engine under the
 	// paper cost model (tree depth standing in for the diameter).
 	Rounds int
-	// Samples is the number of sampled vertices (randomized engine only;
-	// zero for the deterministic engines).
-	Samples int
 }
 
 // ErrNoSeparator marks a legitimate engine failure: the engine ran to
@@ -98,25 +71,6 @@ type Result struct {
 // to another engine (the DFS pipeline falls back to theorem1) or report
 // the instance as uncovered.
 var ErrNoSeparator = errors.New("sepengine: no balanced cycle separator found")
-
-// NoSeparatorError is the diagnostic form of ErrNoSeparator (errors.Is
-// matches the sentinel through Unwrap): it names the failing engine and
-// carries its run statistics, so experiment drivers can account for work
-// done on failed attempts without bespoke entry points into the engine.
-type NoSeparatorError struct {
-	// Engine is the failing engine's registry name.
-	Engine string
-	// Samples is the randomized engine's sample count (zero elsewhere).
-	Samples int
-	// Reason is a human-readable account of why no cycle was found.
-	Reason string
-}
-
-func (e *NoSeparatorError) Error() string {
-	return fmt.Sprintf("%v: engine %s: %s", ErrNoSeparator, e.Engine, e.Reason)
-}
-
-func (e *NoSeparatorError) Unwrap() error { return ErrNoSeparator }
 
 // UnknownEngineError reports a name that resolves to no registered engine,
 // carrying the available set for discovery.
@@ -172,12 +126,12 @@ func Get(name string) (Engine, error) {
 const DefaultEngine = "theorem1"
 
 // Find resolves name and runs the engine in one step.
-func Find(name string, cfg *weights.Config, opts Options) (*Result, error) {
+func Find(name string, cfg *weights.Config) (*Result, error) {
 	e, err := Get(name)
 	if err != nil {
 		return nil, err
 	}
-	return e.FindCycleSeparator(cfg, opts)
+	return e.FindCycleSeparator(cfg)
 }
 
 // costModel is the paper cost model of a configuration: the spanning
@@ -215,13 +169,13 @@ func finish(cfg *weights.Config, name string, sep *separator.Separator, ops dist
 	}, nil
 }
 
-// charge records an engine's primitive tally on the configuration's meter
-// when tracing is on, mirroring the Theorem 1 driver's charging.
-func charge(cfg *weights.Config, opts Options, name string, ops dist.Ops) {
+// Charge records a separator algorithm's primitive tally on the
+// configuration's tracer, as span "sepengine.<name>" under the
+// configuration's paper cost model, when tracing is on. It mirrors the
+// Theorem 1 driver's charging; the registry engines and the randomized
+// baseline of internal/randsep all charge through it.
+func Charge(cfg *weights.Config, name string, ops dist.Ops) {
 	tr := cfg.Tracer
-	if tr == nil {
-		tr = opts.Tracer
-	}
 	if tr == nil || !tr.Enabled() {
 		return
 	}

@@ -32,10 +32,10 @@ func (harPeledEngine) Name() string { return "har-peled-nayyeri" }
 // (each extraction is an O(n + m) sweep).
 const hpnMaxLevels = 24
 
-func (harPeledEngine) FindCycleSeparator(cfg *weights.Config, opts Options) (*Result, error) {
+func (harPeledEngine) FindCycleSeparator(cfg *weights.Config) (*Result, error) {
 	n := cfg.G.N()
 	ops := hpnOps(n)
-	charge(cfg, opts, "har-peled-nayyeri", ops)
+	Charge(cfg, "har-peled-nayyeri", ops)
 
 	if len(cfg.FundamentalEdges()) == 0 {
 		sep, err := searchCandidates(cfg, treeCandidate(cfg))

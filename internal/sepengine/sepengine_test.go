@@ -83,7 +83,7 @@ func TestEngineMatrixSmall(t *testing.T) {
 			for n := 6; n <= 64; n++ {
 				cfg := buildConfig(t, family, n, int64(n))
 				for _, name := range Names() {
-					res, err := Find(name, cfg, Options{Seed: int64(7*n + 1)})
+					res, err := Find(name, cfg)
 					label := fmt.Sprintf("%s/%s/n=%d", name, family, n)
 					if err != nil {
 						if !errors.Is(err, ErrNoSeparator) {
@@ -124,7 +124,7 @@ func TestEngineMatrixLarge(t *testing.T) {
 			t.Parallel()
 			cfg := buildConfig(t, family, 1000, 1000)
 			for _, name := range Names() {
-				res, err := Find(name, cfg, Options{Seed: 9001})
+				res, err := Find(name, cfg)
 				label := fmt.Sprintf("%s/%s/n=1000", name, family)
 				if err != nil {
 					if !errors.Is(err, ErrNoSeparator) {
@@ -157,7 +157,7 @@ func TestCorruptedResultsRejected(t *testing.T) {
 		cfg := buildConfig(t, family, 48, 48)
 		n := cfg.G.N()
 		for _, name := range Names() {
-			res, err := Find(name, cfg, Options{Seed: 5})
+			res, err := Find(name, cfg)
 			if err != nil {
 				continue // matrix tests cover the error contract
 			}
@@ -197,7 +197,7 @@ func TestUnknownEngine(t *testing.T) {
 	if err != nil || e.Name() != DefaultEngine {
 		t.Fatalf("Get(\"\") = %v, %v; want the default engine %q", e, err, DefaultEngine)
 	}
-	if len(Names()) < 5 {
-		t.Fatalf("registry holds %v, want at least 5 engines", Names())
+	if got, want := fmt.Sprint(Names()), "[dual-tree-bfs har-peled-nayyeri theorem1]"; got != want {
+		t.Fatalf("registry holds %s, want %s", got, want)
 	}
 }

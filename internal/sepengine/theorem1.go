@@ -15,17 +15,8 @@ type theorem1Engine struct{}
 
 func (theorem1Engine) Name() string { return DefaultEngine }
 
-func (theorem1Engine) FindCycleSeparator(cfg *weights.Config, opts Options) (*Result, error) {
-	// Thread the caller's tracer through the configuration so the full
-	// phase/lemma span structure of the run lands on it, exactly like a
-	// direct separator.Find call.
-	run := cfg
-	if opts.Tracer != nil && cfg.Tracer == nil {
-		c := *cfg
-		c.Tracer = opts.Tracer
-		run = &c
-	}
-	sep, err := separator.FindWithOptions(run, opts.Ablation)
+func (theorem1Engine) FindCycleSeparator(cfg *weights.Config) (*Result, error) {
+	sep, err := separator.Find(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -114,7 +114,8 @@ func buildDecomp(ctx context.Context, in *gen.Instance, opt pipeline.Options) (*
 		return nil, fmt.Errorf("serve: configuration: %w", err)
 	}
 	tracer := opt.Policy.Tracer
-	res, err := sepengine.Find(opt.Engine, cfg, sepengine.Options{Tracer: tracer})
+	cfg.Tracer = tracer
+	res, err := sepengine.Find(opt.Engine, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("serve: separator: %w", err)
 	}

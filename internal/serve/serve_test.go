@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -266,6 +267,8 @@ func TestJobValidation(t *testing.T) {
 		`{"family":"grid","n":100000}`,
 		`{"family":"grid","n":64,"chaosSpec":"bogus=1"}`,
 		`{"family":"grid","n":64,"engine":"nosuch-engine"}`,
+		`{"family":"grid","n":64,"engine":"lipton-tarjan"}`,
+		`{"family":"grid","n":64,"engine":"randomized"}`,
 		`{"family":"grid","n":64,"unknownField":true}`,
 		`not json`,
 	} {
@@ -273,9 +276,17 @@ func TestJobValidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		msg, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("body %s: status %d, want 400", body, resp.StatusCode)
+		}
+		if strings.Contains(body, `"engine"`) &&
+			!strings.Contains(string(msg), "(available: [dual-tree-bfs har-peled-nayyeri theorem1])") {
+			t.Errorf("body %s: error %q does not name the available engines", body, msg)
 		}
 	}
 	if code := getJSON(t, ts.URL+"/v1/jobs/j999", nil); code != http.StatusNotFound {
@@ -330,22 +341,22 @@ func TestJobEngineSelection(t *testing.T) {
 	if def.State != StateDone {
 		t.Fatalf("default job: %+v", def)
 	}
-	alt := awaitJob(t, ts.URL, postJob(t, ts.URL, `{"family":"stacked","n":80,"seed":3,"engine":"lipton-tarjan"}`).ID)
+	alt := awaitJob(t, ts.URL, postJob(t, ts.URL, `{"family":"stacked","n":80,"seed":3,"engine":"dual-tree-bfs"}`).ID)
 	if alt.State != StateDone {
 		t.Fatalf("engine job: %+v", alt)
 	}
 	if alt.Cached {
 		t.Fatal("engine job aliased the default engine's cache entry")
 	}
-	if alt.Hash != def.Hash+":lipton-tarjan" {
-		t.Fatalf("engine job keyed %q, want %q", alt.Hash, def.Hash+":lipton-tarjan")
+	if alt.Hash != def.Hash+":dual-tree-bfs" {
+		t.Fatalf("engine job keyed %q, want %q", alt.Hash, def.Hash+":dual-tree-bfs")
 	}
 	var sum GraphSummary
 	if code := getJSON(t, ts.URL+"/v1/graphs/"+alt.Hash, &sum); code != 200 {
 		t.Fatalf("engine summary status %d", code)
 	}
-	if sum.Engine != "lipton-tarjan" {
-		t.Fatalf("summary engine %q, want lipton-tarjan", sum.Engine)
+	if sum.Engine != "dual-tree-bfs" {
+		t.Fatalf("summary engine %q, want dual-tree-bfs", sum.Engine)
 	}
 	var dsum GraphSummary
 	if code := getJSON(t, ts.URL+"/v1/graphs/"+def.Hash, &dsum); code != 200 {

@@ -29,7 +29,6 @@ package planardfs
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"planardfs/internal/cert"
@@ -42,6 +41,7 @@ import (
 	"planardfs/internal/guard"
 	"planardfs/internal/pipeline"
 	"planardfs/internal/planar"
+	"planardfs/internal/randsep"
 	"planardfs/internal/separator"
 	"planardfs/internal/sepengine"
 	"planardfs/internal/serve"
@@ -186,19 +186,15 @@ func FindCycleSeparator(cfg *Config) (*Separator, error) {
 
 // Multi-backend separator engines (internal/sepengine): a registry of
 // cycle-separator backends behind one interface — the paper's Theorem 1
-// constructive engine, classical Lipton–Tarjan, the BFS-level engine in
-// the style of Har-Peled–Nayyeri, a dual-tree weight-decomposition engine,
-// and the sampling-estimation baseline. Every engine output is
-// cross-validated by the centralized separator oracle and side oracle of
-// internal/cert before it is returned.
-type (
-	// SeparatorEngineResult is a validated engine output: the separator,
-	// side masks, balance, cycle length and charged round cost.
-	SeparatorEngineResult = sepengine.Result
-	// SeparatorEngineOptions carry per-call engine knobs (tracer, seed,
-	// sampling rate, ablations).
-	SeparatorEngineOptions = sepengine.Options
-)
+// constructive engine, the BFS-level engine in the style of
+// Har-Peled–Nayyeri, and a dual-tree weight-decomposition engine. Every
+// engine output is cross-validated by the centralized separator oracle and
+// side oracle of internal/cert before it is returned. An engine run is
+// traced when the configuration's Tracer is set.
+
+// SeparatorEngineResult is a validated engine output: the separator, side
+// masks, balance, cycle length and charged round cost.
+type SeparatorEngineResult = sepengine.Result
 
 // ErrNoSeparator marks a legitimate engine failure: the engine ran to
 // completion without finding a balanced cycle separator. The default
@@ -214,8 +210,8 @@ func SeparatorEngines() []string { return sepengine.Names() }
 // FindCycleSeparatorWithEngine computes a validated cycle separator with
 // the named engine (empty name selects the default). Unknown names return
 // a typed error listing the available engines.
-func FindCycleSeparatorWithEngine(cfg *Config, engine string, opts SeparatorEngineOptions) (*SeparatorEngineResult, error) {
-	return sepengine.Find(engine, cfg, opts)
+func FindCycleSeparatorWithEngine(cfg *Config, engine string) (*SeparatorEngineResult, error) {
+	return sepengine.Find(engine, cfg)
 }
 
 // SeparatorsForPartition computes a cycle separator of every part's induced
@@ -492,24 +488,18 @@ func CanonicalGraphBytes(in *Instance) []byte { return gen.CanonicalBytes(in) }
 func GraphContentHash(in *Instance) string { return gen.ContentHash(in) }
 
 // RandomizedSeparator runs the sampling-estimation baseline (Ghaffari-
-// Parter style) through the engine registry: it may fail with an error
-// wrapping ErrNoSeparator (no estimate in the safety band, or a sampled
-// face that is unbalanced); see experiment E10. The sample count is
-// returned even on failure. The RNG is derived from seed, never from the
-// process-global generator. A zero sampleRate or margin selects the engine
+// Parter style, internal/randsep): it may fail with an error wrapping
+// ErrNoSeparator (no estimate in the safety band, or a sampled face that
+// is unbalanced); see experiment E10. The sample count is returned even on
+// such a failure. The RNG is derived from seed, never from the
+// process-global generator. A zero sampleRate or margin selects the
 // defaults (0.25 and 0.03).
 func RandomizedSeparator(cfg *Config, sampleRate, margin float64, seed int64) (*Separator, int, error) {
-	res, err := sepengine.Find("randomized", cfg, SeparatorEngineOptions{
-		Seed: seed, SampleRate: sampleRate, Margin: margin,
-	})
-	if err != nil {
-		var nse *sepengine.NoSeparatorError
-		if errors.As(err, &nse) {
-			return nil, nse.Samples, err
-		}
+	res, err := randsep.Find(cfg, sampleRate, margin, seed)
+	if res == nil {
 		return nil, 0, err
 	}
-	return res.Sep, res.Samples, nil
+	return res.Sep, res.Samples, err
 }
 
 // BFSLevelSeparator returns the classical Lipton-Tarjan first-step
