@@ -1,7 +1,7 @@
 package planardfs
 
 // The benchmark harness: one benchmark per experiment of EXPERIMENTS.md
-// (E1-E12). Each benchmark regenerates the corresponding table rows via
+// (E1-E13). Each benchmark regenerates the corresponding table rows via
 // internal/exp and reports the experiment's headline quantities as
 // benchmark metrics, so `go test -bench=. -benchmem` reproduces the whole
 // evaluation. The cmd/sepbench and cmd/dfsbench tools print the same rows

@@ -299,39 +299,17 @@ func runSupervised(program string, g *graph.Graph, parts int, plan *chaos.Plan, 
 	if err != nil {
 		return err
 	}
-	printReport(rep)
+	fmt.Println(rep)
 	if rep.Outcome == chaos.OutcomeFailed {
 		return fmt.Errorf("recovery exhausted after %d attempts", len(rep.Attempts))
 	}
 	return nil
 }
 
-// printReport dumps a supervised run's report on stdout.
-func printReport(rep *chaos.Report) {
-	fmt.Printf("recovery: outcome=%s attempts=%d faults[%s]\n",
-		rep.Outcome, len(rep.Attempts), rep.Faults)
-	for _, a := range rep.Attempts {
-		status := "accepted"
-		if !a.Accepted {
-			status = "rejected"
-			if a.Err != "" {
-				status += ": " + a.Err
-			}
-		}
-		fmt.Printf("  %s attempt %d: budget=%d rounds=%d faults=%d %s\n",
-			a.Stage, a.Attempt, a.Budget, a.Rounds, a.Faults.Total(), status)
-	}
-}
-
 // printVerdict reports one certification verdict on stdout and returns an
 // error on rejection, so a rejected -certify run exits nonzero.
 func printVerdict(v *cert.Verdict) error {
-	status := "ACCEPT"
-	if !v.OK {
-		status = fmt.Sprintf("REJECT at %v", v.Rejectors)
-	}
-	fmt.Printf("certify %s: %s labelWords=%d proverRounds=%d verifierRounds=%d aggRounds=%d msgs=%d\n",
-		v.Scheme, status, v.LabelWords, v.ProverRounds, v.VerifierRounds, v.AggRounds, v.Stats.Messages)
+	fmt.Println(v)
 	if !v.OK {
 		return fmt.Errorf("certification rejected by %d vertices", len(v.Rejectors))
 	}

@@ -192,8 +192,7 @@ func certifyRun(family string, n int, seed int64) error {
 	if err != nil {
 		return err
 	}
-	fs := in.Emb.TraceFaces()
-	root := fs.FaceVertices(in.OuterFace())[0]
+	root := in.OuterRoot()
 	pt, _, err := dfs.Build(in.G, in.Emb, in.OuterDart, root)
 	if err != nil {
 		return err
@@ -203,12 +202,12 @@ func certifyRun(family string, n int, seed int64) error {
 	if err != nil {
 		return err
 	}
-	printVerdict(ev)
+	fmt.Println(ev)
 	dv, err := cert.CertifyDFSTree(in.G, root, pt.Parent, cert.Options{})
 	if err != nil {
 		return err
 	}
-	printVerdict(dv)
+	fmt.Println(dv)
 	if !ev.OK || !dv.OK {
 		return fmt.Errorf("certification rejected the run")
 	}
@@ -224,8 +223,7 @@ func recoveryRun(family string, n int, seed int64, spec string, chaosSeed int64)
 	if err != nil {
 		return err
 	}
-	fs := in.Emb.TraceFaces()
-	root := fs.FaceVertices(in.OuterFace())[0]
+	root := in.OuterRoot()
 	var plan *planardfs.FaultPlan
 	if spec != "" {
 		s, err := planardfs.ParseFaultSpec(spec)
@@ -240,7 +238,7 @@ func recoveryRun(family string, n int, seed int64, spec string, chaosSeed int64)
 	if err != nil {
 		return err
 	}
-	printReport(res.Report)
+	fmt.Println(res.Report)
 	if res.Report.Outcome == planardfs.RecoveryFailed {
 		return fmt.Errorf("recovery exhausted after %d attempts", len(res.Report.Attempts))
 	}
@@ -252,33 +250,6 @@ func recoveryRun(family string, n int, seed int64, spec string, chaosSeed int64)
 	}
 	fmt.Printf("recovered DFS tree: %d tree edges\n", edges)
 	return nil
-}
-
-// printReport summarizes a supervised run, one line per attempt.
-func printReport(rep *planardfs.RecoveryReport) {
-	fmt.Printf("recovery: outcome=%s attempts=%d faults[%s]\n",
-		rep.Outcome, len(rep.Attempts), rep.Faults)
-	for _, a := range rep.Attempts {
-		status := "accepted"
-		if !a.Accepted {
-			status = "rejected"
-			if a.Err != "" {
-				status += ": " + a.Err
-			}
-		}
-		fmt.Printf("  %s attempt %d: budget=%d rounds=%d faults=%d %s\n",
-			a.Stage, a.Attempt, a.Budget, a.Rounds, a.Faults.Total(), status)
-	}
-}
-
-// printVerdict reports one certification verdict on stdout.
-func printVerdict(v *cert.Verdict) {
-	status := "ACCEPT"
-	if !v.OK {
-		status = fmt.Sprintf("REJECT at %v", v.Rejectors)
-	}
-	fmt.Printf("certify %s: %s labelWords=%d proverRounds=%d verifierRounds=%d aggRounds=%d msgs=%d\n",
-		v.Scheme, status, v.LabelWords, v.ProverRounds, v.VerifierRounds, v.AggRounds, v.Stats.Messages)
 }
 
 // guardAdmit validates every (family, size) instance the run will touch

@@ -227,8 +227,7 @@ func certifyRun(family string, n int, seed int64, engine string) error {
 	if err != nil {
 		return err
 	}
-	fs := in.Emb.TraceFaces()
-	root := fs.FaceVertices(in.OuterFace())[0]
+	root := in.OuterRoot()
 	tree, err := spanning.BFSTree(in.G, root)
 	if err != nil {
 		return err
@@ -262,7 +261,7 @@ func certifyRun(family string, n int, seed int64, engine string) error {
 	verdicts = append(verdicts, sv)
 	rejected := false
 	for _, v := range verdicts {
-		printVerdict(v)
+		fmt.Println(v)
 		rejected = rejected || !v.OK
 	}
 	if rejected {
@@ -310,8 +309,7 @@ func recoveryRun(family string, n int, seed int64, spec string, chaosSeed int64)
 	if err != nil {
 		return err
 	}
-	fs := in.Emb.TraceFaces()
-	root := fs.FaceVertices(in.OuterFace())[0]
+	root := in.OuterRoot()
 	tree, err := spanning.BFSTree(in.G, root)
 	if err != nil {
 		return err
@@ -337,39 +335,12 @@ func recoveryRun(family string, n int, seed int64, spec string, chaosSeed int64)
 	if err != nil {
 		return err
 	}
-	printReport(rep)
+	fmt.Println(rep)
 	if rep.Outcome == chaos.OutcomeFailed {
 		return fmt.Errorf("recovery exhausted after %d attempts", len(rep.Attempts))
 	}
 	fmt.Printf("recovered separator: len=%d phase=%s\n", len(sep.Path), sep.Phase)
 	return nil
-}
-
-// printReport summarizes a supervised run, one line per attempt.
-func printReport(rep *chaos.Report) {
-	fmt.Printf("recovery: outcome=%s attempts=%d faults[%s]\n",
-		rep.Outcome, len(rep.Attempts), rep.Faults)
-	for _, a := range rep.Attempts {
-		status := "accepted"
-		if !a.Accepted {
-			status = "rejected"
-			if a.Err != "" {
-				status += ": " + a.Err
-			}
-		}
-		fmt.Printf("  %s attempt %d: budget=%d rounds=%d faults=%d %s\n",
-			a.Stage, a.Attempt, a.Budget, a.Rounds, a.Faults.Total(), status)
-	}
-}
-
-// printVerdict reports one certification verdict on stdout.
-func printVerdict(v *cert.Verdict) {
-	status := "ACCEPT"
-	if !v.OK {
-		status = fmt.Sprintf("REJECT at %v", v.Rejectors)
-	}
-	fmt.Printf("certify %s: %s labelWords=%d proverRounds=%d verifierRounds=%d aggRounds=%d msgs=%d\n",
-		v.Scheme, status, v.LabelWords, v.ProverRounds, v.VerifierRounds, v.AggRounds, v.Stats.Messages)
 }
 
 // guardAdmit validates every (family, size) instance the run will touch

@@ -71,6 +71,16 @@ type Verdict struct {
 	Stats congest.Stats
 }
 
+// String renders the verdict as the CLIs print it, one line.
+func (v *Verdict) String() string {
+	status := "ACCEPT"
+	if !v.OK {
+		status = fmt.Sprintf("REJECT at %v", v.Rejectors)
+	}
+	return fmt.Sprintf("certify %s: %s labelWords=%d proverRounds=%d verifierRounds=%d aggRounds=%d msgs=%d",
+		v.Scheme, status, v.LabelWords, v.ProverRounds, v.VerifierRounds, v.AggRounds, v.Stats.Messages)
+}
+
 // Options configure a certification run. The zero value runs untraced.
 type Options struct {
 	// Tracer records cert-layer spans (prove/verify/aggregate) and the

@@ -2,7 +2,9 @@ package chaos
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"strings"
 
 	"planardfs/internal/cert"
 	"planardfs/internal/trace"
@@ -144,6 +146,25 @@ type Report struct {
 	// guard.RejectionError carrying the witness) when Outcome is
 	// OutcomeRejectedInput, nil otherwise.
 	RejectionErr error
+}
+
+// String renders the report as the CLIs print it: a summary line, then one
+// indented line per attempt.
+func (r *Report) String() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "recovery: outcome=%s attempts=%d faults[%s]", r.Outcome, len(r.Attempts), r.Faults)
+	for _, a := range r.Attempts {
+		status := "accepted"
+		if !a.Accepted {
+			status = "rejected"
+			if a.Err != "" {
+				status += ": " + a.Err
+			}
+		}
+		fmt.Fprintf(&b, "\n  %s attempt %d: budget=%d rounds=%d faults=%d %s",
+			a.Stage, a.Attempt, a.Budget, a.Rounds, a.Faults.Total(), status)
+	}
+	return b.String()
 }
 
 // GuardFunc is the admission check of a guarded supervised run. It returns

@@ -25,7 +25,7 @@ func firstJoinCase(t *testing.T, family string, n int) joinCase {
 	if err != nil {
 		t.Fatal(err)
 	}
-	root := in.Emb.TraceFaces().FaceVertices(in.OuterFace())[0]
+	root := in.OuterRoot()
 	var comp []int
 	for _, c := range remainingComponents(in.G, NewPartialTree(in.G.N(), root)) {
 		if len(c) > len(comp) {

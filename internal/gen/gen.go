@@ -27,6 +27,13 @@ type Instance struct {
 // to Emb.TraceFaces ordering.
 func (in *Instance) OuterFace() int { return in.Emb.OuterFaceOf(in.OuterDart) }
 
+// OuterRoot returns the first vertex of the outer face, the root every
+// spanning tree of the Theorem 1/2 pipeline starts from (the paper requires
+// the root on the outer face).
+func (in *Instance) OuterRoot() int {
+	return in.Emb.TraceFaces().FaceVertices(in.OuterFace())[0]
+}
+
 // embedFromCoords builds the embedding induced by vertex coordinates: the
 // rotation at each vertex lists its neighbours in clockwise angular order
 // (starting from north, y up). It requires a straight-line plane drawing

@@ -16,11 +16,6 @@ import (
 	"planardfs/internal/trace"
 )
 
-func outerRoot(in *gen.Instance) int {
-	fs := in.Emb.TraceFaces()
-	return fs.FaceVertices(in.OuterFace())[0]
-}
-
 func instance(t *testing.T, family string, n int) *gen.Instance {
 	t.Helper()
 	in, err := gen.ByName(family, n, 1)
@@ -53,7 +48,7 @@ func enginesUnderPhases(spans []trace.SpanEvent) int {
 // default engine runs Theorem 1 directly, with no engine spans at all.
 func TestRunEngineReachesComponents(t *testing.T) {
 	in := instance(t, "stacked", 120)
-	root := outerRoot(in)
+	root := in.OuterRoot()
 	for _, engine := range []string{"", "dual-tree-bfs", "har-peled-nayyeri"} {
 		rec := trace.NewRecorder()
 		res, err := Run(context.Background(), in, Options{Root: root, Engine: engine, Policy: chaos.Policy{Tracer: rec}})
@@ -85,7 +80,7 @@ func TestRunEngineReachesComponents(t *testing.T) {
 
 func TestRunUnknownEngine(t *testing.T) {
 	in := instance(t, "grid", 16)
-	_, err := Run(context.Background(), in, Options{Root: outerRoot(in), Engine: "nosuch-engine"})
+	_, err := Run(context.Background(), in, Options{Root: in.OuterRoot(), Engine: "nosuch-engine"})
 	var unknown *sepengine.UnknownEngineError
 	if !errors.As(err, &unknown) {
 		t.Fatalf("err = %v, want an UnknownEngineError", err)
@@ -116,7 +111,7 @@ func TestRunGuardFirst(t *testing.T) {
 		t.Fatal("no seed produced a genus-raising corruption")
 	}
 	rec := trace.NewRecorder()
-	res, err := Run(context.Background(), bad, Options{Root: outerRoot(in), Guard: &guard.Options{Seed: 1}, Policy: chaos.Policy{Tracer: rec}})
+	res, err := Run(context.Background(), bad, Options{Root: in.OuterRoot(), Guard: &guard.Options{Seed: 1}, Policy: chaos.Policy{Tracer: rec}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +145,7 @@ func (c cancelOnReject) Count(name string, delta int64) {
 // goroutine behind.
 func TestRunCancelledBetweenAttempts(t *testing.T) {
 	in := instance(t, "grid", 64)
-	root := outerRoot(in)
+	root := in.OuterRoot()
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

@@ -17,8 +17,7 @@ import (
 
 func cfgOf(t *testing.T, in *gen.Instance) *weights.Config {
 	t.Helper()
-	fs := in.Emb.TraceFaces()
-	root := fs.FaceVertices(in.OuterFace())[0]
+	root := in.OuterRoot()
 	tr, err := spanning.BFSTree(in.G, root)
 	if err != nil {
 		t.Fatal(err)

@@ -14,7 +14,7 @@ import (
 // kind ("bfs" or "dfs"), rooted on the outer face.
 func buildConfig(t *testing.T, in *gen.Instance, kind string) *weights.Config {
 	t.Helper()
-	return rootedConfig(t, in, kind, in.Emb.TraceFaces().FaceVertices(in.OuterFace())[0], nil)
+	return rootedConfig(t, in, kind, in.OuterRoot(), nil)
 }
 
 // rootedConfig makes a configuration over the instance with a tree of the

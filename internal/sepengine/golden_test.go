@@ -122,7 +122,7 @@ func outerBFSConfig(t *testing.T, family string, n int, seed int64) *weights.Con
 	if err != nil {
 		t.Fatalf("%s/%d: %v", family, n, err)
 	}
-	root := in.Emb.TraceFaces().FaceVertices(in.OuterFace())[0]
+	root := in.OuterRoot()
 	tr, err := spanning.BFSTree(in.G, root)
 	if err != nil {
 		t.Fatal(err)

@@ -79,8 +79,7 @@ type VerdictSummary struct {
 // opt.Engine also selects the whole-instance separator.
 func buildDecomp(ctx context.Context, in *gen.Instance, opt pipeline.Options) (*Decomp, error) {
 	g := in.G
-	fs := in.Emb.TraceFaces()
-	root := fs.FaceVertices(in.OuterFace())[0]
+	root := in.OuterRoot()
 	opt.Root = root
 	run, err := pipeline.Run(ctx, in, opt)
 	if err != nil {

@@ -31,8 +31,7 @@ func configsUnderTest(t *testing.T) []*Config {
 	var cfgs []*Config
 	for _, in := range instances {
 		// Root must lie on the outer face: use a vertex of the outer face.
-		fs := in.Emb.TraceFaces()
-		root := fs.FaceVertices(in.OuterFace())[0]
+		root := in.OuterRoot()
 		bt, err := spanning.BFSTree(in.G, root)
 		if err != nil {
 			t.Fatal(err)

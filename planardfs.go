@@ -154,10 +154,7 @@ const (
 
 // OuterRoot returns a vertex on the instance's outer face, the natural root
 // for spanning trees (the paper requires the root on the outer face).
-func OuterRoot(in *Instance) int {
-	fs := in.Emb.TraceFaces()
-	return fs.FaceVertices(in.OuterFace())[0]
-}
+func OuterRoot(in *Instance) int { return in.OuterRoot() }
 
 // NewConfig builds a planar configuration over the instance with a spanning
 // tree of the given kind rooted at root (which must lie on the outer face).
